@@ -13,8 +13,7 @@ from .octonion import (FANO_LINES, Octonion, basis_product, inner_product,
                        is_algebra_automorphism, multiplication_table_symbols,
                        rotation_automorphism, rotation_matrix, structure_constants)
 from .so8 import (DIMENSION, GENERATORS, Generator, Quadruple, So8Element,
-                  bracket, generator_matrix, quadruples, random_element,
-                  random_elements)
+                  bracket, generator_matrix, quadruples, random_element)
 from .automorphisms import (ORDER3_BLOCK, FixedSubalgebra, TrialityMap,
                             fixed_subalgebra, g2_fixed_subalgebra,
                             identify_fixed_algebra, killing_form,
@@ -22,13 +21,12 @@ from .automorphisms import (ORDER3_BLOCK, FixedSubalgebra, TrialityMap,
                             verify_bracket_preservation)
 from .invariants import (C3_COEFFICIENTS, T_MATRIX, InvariantVector,
                          SpectralCoefficients, canonical_block_element,
-                         degree6_vector, derive_c3_coefficients,
-                         eigenstructure_check, eta_model_values,
-                         fixed_degree6_space, g2_restriction, invariant_vector,
-                         newton_coefficients, pfaffian_matchings,
-                         pfaffian_permutation_sum, pfaffian_s7_sum,
-                         pfaffian_s8_sum, sigma_transform_invariants,
-                         spectral_coefficients, t_matrix, tr_power)
+                         derive_c3_coefficients, eigenstructure_check,
+                         eta_model_values, fixed_degree6_space, g2_restriction,
+                         invariant_vector, newton_coefficients,
+                         pfaffian_matchings, pfaffian_permutation_sum,
+                         sigma_transform_invariants, spectral_coefficients,
+                         t_matrix, tr_power)
 from .verify import RunConfig, SUITES, build_report, report_passed
 
 __version__ = "0.1.0"
@@ -41,17 +39,16 @@ __all__ = [
     "rotation_automorphism", "rotation_matrix", "structure_constants",
     "DIMENSION", "GENERATORS", "Generator", "Quadruple", "So8Element",
     "bracket", "generator_matrix", "quadruples", "random_element",
-    "random_elements",
     "ORDER3_BLOCK", "FixedSubalgebra", "TrialityMap", "fixed_subalgebra",
     "g2_fixed_subalgebra", "identify_fixed_algebra", "killing_form",
     "outer_involution", "sigma", "so7_fixed_subalgebra",
     "verify_bracket_preservation",
     "C3_COEFFICIENTS", "T_MATRIX", "InvariantVector", "SpectralCoefficients",
-    "canonical_block_element", "degree6_vector", "derive_c3_coefficients",
+    "canonical_block_element", "derive_c3_coefficients",
     "eigenstructure_check", "eta_model_values", "fixed_degree6_space",
     "g2_restriction", "invariant_vector", "newton_coefficients",
-    "pfaffian_matchings", "pfaffian_permutation_sum", "pfaffian_s7_sum",
-    "pfaffian_s8_sum", "sigma_transform_invariants", "spectral_coefficients",
-    "t_matrix", "tr_power",
+    "pfaffian_matchings", "pfaffian_permutation_sum",
+    "sigma_transform_invariants", "spectral_coefficients", "t_matrix",
+    "tr_power",
     "RunConfig", "SUITES", "build_report", "report_passed",
 ]

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import (ConsistencyError, Rational, SpanSolver, SquareMatrix,
-                    format_rational, kernel_basis_of_rows, primitive_integer_vector, rref)
+                    format_rational, kernel_basis_of_rows, primitive_integer_vector)
 from .so8 import (DIMENSION, GENERATORS, So8Element, bracket, quadruples,
                   random_element)
 
@@ -44,7 +44,8 @@ ORDER3_BLOCK = SquareMatrix([
     [_HALF, -_HALF, -_HALF, _HALF],
 ])
 
-OUTER_CONJUGATOR = SquareMatrix.diagonal([_ONE] * 7 + [-_ONE])
+# conjugation by diag(1,...,1,-1) scales G(i,j) by a_i * a_j: -1 exactly when j = 7
+_INVOLUTION_SIGNS = tuple(-_ONE if g.j == 7 else _ONE for g in GENERATORS)
 
 # seeds for the generic-element rank probe; the minimum over these is reported
 RANK_SAMPLE_SEEDS = (101, 102, 103, 104, 105)
@@ -99,22 +100,19 @@ def sigma(x: So8Element) -> So8Element:
 
 def outer_involution(x: So8Element) -> So8Element:
     """Conjugation by diag(1,...,1,-1): flips the sign of every G(i,7) coefficient."""
-    a = OUTER_CONJUGATOR
-    return So8Element.from_matrix(a * x.matrix * a)
+    return So8Element([s * c for s, c in zip(_INVOLUTION_SIGNS, x.coeffs)])
 
 
 def _involution_matrix() -> SquareMatrix:
-    cols = [outer_involution(So8Element.from_generator(g)).coeffs for g in GENERATORS]
-    return SquareMatrix(zip(*cols))
+    return SquareMatrix.diagonal(_INVOLUTION_SIGNS)
 
 
 def verify_bracket_preservation(samples: int, seed: int,
-                                tmap: Optional[TrialityMap] = None,
-                                include_basis: bool = True) -> dict:
+                                tmap: Optional[TrialityMap] = None) -> dict:
     """Check phi[x,y] = [phi x, phi y] exactly; violations are report content.
 
-    Runs all 28x28 generator pairs (when include_basis) plus `samples` seeded
-    random pairs. The returned report is JSON-ready.
+    Runs all 28x28 generator pairs plus `samples` seeded random pairs. The
+    returned report is JSON-ready.
     """
     tmap = tmap or TrialityMap.standard()
     violations = 0
@@ -139,12 +137,11 @@ def verify_bracket_preservation(samples: int, seed: int,
                 }
 
     checked = 0
-    if include_basis:
-        for a in range(DIMENSION):
-            for b in range(DIMENSION):
-                check(basis_elements[a], images[a], basis_elements[b], images[b],
-                      [GENERATORS[a].label, GENERATORS[b].label])
-                checked += 1
+    for a in range(DIMENSION):
+        for b in range(DIMENSION):
+            check(basis_elements[a], images[a], basis_elements[b], images[b],
+                  [GENERATORS[a].label, GENERATORS[b].label])
+            checked += 1
     for k in range(samples):
         x = random_element(seed + 2 * k)
         y = random_element(seed + 2 * k + 1)
@@ -310,27 +307,3 @@ def identify_fixed_algebra(sub: FixedSubalgebra) -> dict:
         centralizer_dim = len(ad.kernel_basis())
         rank = centralizer_dim if rank is None else min(rank, centralizer_dim)
     return {"dim": sub.dim, "killing_nondegenerate": nondegenerate, "rank": rank}
-
-
-def span_intersection_dimension(a: FixedSubalgebra, b: FixedSubalgebra) -> int:
-    """dim(span A intersect span B) = dim A + dim B - rank [A B]."""
-    columns = [x.coeffs for x in a.basis] + [y.coeffs for y in b.basis]
-    rows = [list(col) for col in zip(*columns)]
-    _, pivots = rref(rows)
-    return a.dim + b.dim - len(pivots)
-
-
-def intersection_basis(a: FixedSubalgebra, b: FixedSubalgebra) -> list[So8Element]:
-    """A basis of span A intersect span B, as so(8) elements."""
-    na, nb = a.dim, b.dim
-    columns = [x.coeffs for x in a.basis] + [tuple(-c for c in y.coeffs) for y in b.basis]
-    rows = [list(col) for col in zip(*columns)]
-    out = []
-    for v in kernel_basis_of_rows(rows, na + nb):
-        elem = So8Element.zero()
-        for i in range(na):
-            if v[i] != 0:
-                elem = elem + a.basis[i].scale(v[i])
-        if not elem.is_zero():
-            out.append(elem)
-    return out

@@ -27,24 +27,17 @@ class _DataError(Exception):
     pass
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,11 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run the verification suites")
-    verify.add_argument("--samples", type=_positive_int, default=100,
+    verify.add_argument("--samples", type=_int_at_least(1), default=100,
                         help="random samples per sampled check (default 100)")
-    verify.add_argument("--seed", type=_nonnegative_int, default=42,
+    verify.add_argument("--seed", type=_int_at_least(0), default=42,
                         help="base seed for all sampling (default 42)")
-    verify.add_argument("--bound", type=_positive_int, default=9,
+    verify.add_argument("--bound", type=_int_at_least(1), default=9,
                         help="coefficient bound for random elements (default 9)")
     verify.add_argument("--suite", choices=SUITES, default=None,
                         help="restrict to one suite")
@@ -73,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sigma_cmd = sub.add_parser("sigma", help="apply the order-3 automorphism")
     sigma_cmd.add_argument("--input", required=True, help="JSON file with the element")
-    sigma_cmd.add_argument("--power", type=_nonnegative_int, default=1,
+    sigma_cmd.add_argument("--power", type=_int_at_least(0), default=1,
                            help="how many times to apply it (reduced mod 3)")
     sigma_cmd.add_argument("--json", action="store_true", help="emit JSON")
 

@@ -95,7 +95,7 @@ def canonical_block_element(lams: Sequence[Rational]) -> So8Element:
 
 
 # ---------------------------------------------------------------------------
-# Pfaffian, three ways
+# Pfaffian, two ways (Pf^2 = det is the third, independent oracle)
 # ---------------------------------------------------------------------------
 
 def _matchings(points: tuple[int, ...]):
@@ -141,51 +141,20 @@ def _permutation_sign(perm: Sequence[int]) -> int:
 
 
 _S7_TERMS: Optional[list[tuple[int, tuple[int, ...]]]] = None
-_S8_TERMS: Optional[list[tuple[int, tuple[int, ...]]]] = None
 
 
-def _s7_terms():
+def pfaffian_permutation_sum(m: So8Element) -> Rational:
+    """The paper's literal permutation sum: over the 5040 permutations p of
+    {1..7}, sign(p) * M[0][p1] M[p2][p3] M[p4][p5] M[p6][p7], prefactor 1/(3! * 2^3)."""
     global _S7_TERMS
     if _S7_TERMS is None:
         _S7_TERMS = [(_permutation_sign(p), p)
                      for p in itertools.permutations(range(1, 8))]
-    return _S7_TERMS
-
-
-def _s8_terms():
-    global _S8_TERMS
-    if _S8_TERMS is None:
-        _S8_TERMS = [(_permutation_sign(p), p)
-                     for p in itertools.permutations(range(8))]
-    return _S8_TERMS
-
-
-def pfaffian_s7_sum(m: So8Element) -> Rational:
-    """Literal sum over the 5040 permutations of {1..7}, prefactor 1/(6*8)."""
     rows, den = _integer_rows(m.matrix)
     total = 0
-    for sign, p in _s7_terms():
+    for sign, p in _S7_TERMS:
         total += sign * rows[0][p[0]] * rows[p[1]][p[2]] * rows[p[3]][p[4]] * rows[p[5]][p[6]]
     return Fraction(total, 48) / den ** 4
-
-
-def pfaffian_s8_sum(m: So8Element) -> Rational:
-    """Literal sum over all 40320 permutations of {0..7}, prefactor 1/(4! * 2^4)."""
-    rows, den = _integer_rows(m.matrix)
-    total = 0
-    for sign, p in _s8_terms():
-        total += sign * rows[p[0]][p[1]] * rows[p[2]][p[3]] * rows[p[4]][p[5]] * rows[p[6]][p[7]]
-    return Fraction(total, 384) / den ** 4
-
-
-def pfaffian_permutation_sum(m: So8Element) -> Rational:
-    """Both literal permutation sums; they must agree with each other."""
-    via_s7 = pfaffian_s7_sum(m)
-    via_s8 = pfaffian_s8_sum(m)
-    if via_s7 != via_s8:
-        raise ConsistencyError(
-            f"permutation-sum Pfaffians disagree: {via_s7} vs {via_s8}")
-    return via_s8
 
 
 def invariant_vector(m: So8Element) -> InvariantVector:
@@ -272,11 +241,6 @@ T_MATRIX = SquareMatrix([
 def t_matrix(power: int = 1) -> SquareMatrix:
     """The degree-6 transformation matrix raised to a non-negative power."""
     return T_MATRIX.power(power)
-
-
-def degree6_vector(v: InvariantVector) -> tuple[Rational, Rational, Rational, Rational]:
-    """Evaluate the degree-6 monomial basis (p1^3, p1*p2, p1*pf, p3)."""
-    return (v.p1 ** 3, v.p1 * v.p2, v.p1 * v.pf, v.p3)
 
 
 def fixed_degree6_space() -> list[tuple[Rational, ...]]:

@@ -113,10 +113,6 @@ class Octonion:
         self.coefficients = coeffs
 
     @classmethod
-    def zero(cls) -> "Octonion":
-        return cls((_ZERO,) * 8)
-
-    @classmethod
     def one(cls) -> "Octonion":
         return cls.basis(0)
 
@@ -178,14 +174,6 @@ class Octonion:
     @classmethod
     def from_json(cls, values: Sequence[str]) -> "Octonion":
         return cls([parse_rational(v) for v in values])
-
-
-def multiply(x: Octonion, y: Octonion) -> Octonion:
-    return x * y
-
-
-def conjugate(x: Octonion) -> Octonion:
-    return x.conjugate()
 
 
 def inner_product(x: Octonion, y: Octonion) -> Rational:

@@ -25,15 +25,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import ConsistencyError, Rational, SquareMatrix, format_rational, parse_rational
+from .octonion import _mod7
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 DIMENSION = 28
-
-
-def _mod7(k: int) -> int:
-    return (k - 1) % 7 + 1
 
 
 @dataclass(frozen=True, order=True)
@@ -50,9 +47,6 @@ class Generator:
     @property
     def label(self) -> str:
         return f"G({self.i},{self.j})"
-
-    def matrix(self) -> SquareMatrix:
-        return generator_matrix(self)
 
 
 GENERATORS: tuple[Generator, ...] = tuple(
@@ -241,7 +235,3 @@ def random_element(seed: int, bound: int = 9) -> So8Element:
     rng = random.Random(seed)
     return So8Element([Fraction(rng.randint(-bound, bound)) for _ in range(DIMENSION)])
 
-
-def random_elements(count: int, seed: int, bound: int = 9) -> list[So8Element]:
-    """Samples k = 0..count-1 drawn as random_element(seed + k, bound)."""
-    return [random_element(seed + k, bound) for k in range(count)]

@@ -108,6 +108,24 @@ def report_passed(entries: list[dict]) -> bool:
     return all(e["status"] != "fail" for e in entries)
 
 
+def _sampled(samples: int, witness: Callable[[int], Optional[dict]]) -> dict:
+    """Run witness(k) for k = 0..samples-1; it returns None on a pass and a
+    witness dict on a failure. The first witness becomes the counterexample."""
+    violations = 0
+    counterexample = None
+    for k in range(samples):
+        found = witness(k)
+        if found is not None:
+            violations += 1
+            if counterexample is None:
+                counterexample = found
+    entry = {"status": "pass" if violations == 0 else "fail",
+             "samples": samples, "violations": violations}
+    if counterexample is not None:
+        entry["counterexample"] = counterexample
+    return entry
+
+
 # ---------------------------------------------------------------------------
 # octonion suite
 # ---------------------------------------------------------------------------
@@ -173,22 +191,17 @@ def _check_quaternion_lines() -> dict:
 
 def _check_norm_composition(cfg: RunConfig) -> dict:
     rng = random.Random(cfg.seed)
-    violations = 0
-    counterexample = None
-    for _ in range(cfg.samples):
+
+    def witness(_k):
         x = octonion.Octonion([Fraction(rng.randint(-cfg.bound, cfg.bound))
                                for _ in range(8)])
         y = octonion.Octonion([Fraction(rng.randint(-cfg.bound, cfg.bound))
                                for _ in range(8)])
         if (x * y).norm_squared() != x.norm_squared() * y.norm_squared():
-            violations += 1
-            if counterexample is None:
-                counterexample = {"x": x.to_json(), "y": y.to_json()}
-    entry = {"status": "pass" if violations == 0 else "fail",
-             "samples": cfg.samples, "violations": violations}
-    if counterexample:
-        entry["counterexample"] = counterexample
-    return entry
+            return {"x": x.to_json(), "y": y.to_json()}
+        return None
+
+    return _sampled(cfg.samples, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -308,37 +321,29 @@ def _check_trace_form(tmap: automorphisms.TrialityMap) -> dict:
 # ---------------------------------------------------------------------------
 
 def _check_transformation_law(cfg: RunConfig, tmap) -> dict:
-    violations = 0
-    counterexample = None
-    for k in range(cfg.samples):
+    def witness(k):
         m = so8.random_element(cfg.seed + k, cfg.bound)
         direct = invariants.invariant_vector(tmap.apply(m))
         closed_form = invariants.sigma_transform_invariants(invariants.invariant_vector(m))
         if direct != closed_form:
-            violations += 1
-            if counterexample is None:
-                counterexample = {"sample": k,
-                                  "direct": direct.to_json(),
-                                  "closed_form": closed_form.to_json()}
-    entry = {"status": "pass" if violations == 0 else "fail",
-             "samples": cfg.samples, "violations": violations}
-    if counterexample:
-        entry["counterexample"] = counterexample
-    return entry
+            return {"sample": k, "direct": direct.to_json(),
+                    "closed_form": closed_form.to_json()}
+        return None
+
+    return _sampled(cfg.samples, witness)
 
 
 def _check_transformation_order(cfg: RunConfig) -> dict:
-    violations = 0
-    for k in range(cfg.samples):
-        m = so8.random_element(cfg.seed + k, cfg.bound)
-        v = invariants.invariant_vector(m)
+    def witness(k):
+        v = invariants.invariant_vector(so8.random_element(cfg.seed + k, cfg.bound))
         w = invariants.sigma_transform_invariants(
             invariants.sigma_transform_invariants(
                 invariants.sigma_transform_invariants(v)))
         if w != v:
-            violations += 1
-    return {"status": "pass" if violations == 0 else "fail",
-            "samples": cfg.samples, "violations": violations}
+            return {"sample": k, "invariants": v.to_json(), "third_image": w.to_json()}
+        return None
+
+    return _sampled(cfg.samples, witness)
 
 
 _EXPECTED_T_SQUARED = SquareMatrix([
@@ -360,18 +365,17 @@ def _check_t_matrix() -> dict:
 
 
 def _check_degree6_invariance(cfg: RunConfig, tmap) -> dict:
-    samples = min(cfg.samples, 50)
-    violations = 0
-    for k in range(samples):
+    def witness(k):
         m = so8.random_element(cfg.seed + k, cfg.bound)
         v = invariants.invariant_vector(m)
         w = invariants.invariant_vector(tmap.apply(m))
         cubic_ok = v.p1 ** 3 == w.p1 ** 3
         mixed_ok = 5 * v.p1 * v.p2 - 8 * v.p3 == 5 * w.p1 * w.p2 - 8 * w.p3
         if not (cubic_ok and mixed_ok):
-            violations += 1
-    return {"status": "pass" if violations == 0 else "fail",
-            "samples": samples, "violations": violations}
+            return {"sample": k, "invariants": v.to_json(), "image_invariants": w.to_json()}
+        return None
+
+    return _sampled(min(cfg.samples, 50), witness)
 
 
 _BLOCK_TUPLES = (
@@ -383,88 +387,72 @@ _BLOCK_TUPLES = (
 
 
 def _check_pfaffian(cfg: RunConfig) -> dict:
-    samples = min(cfg.samples, 50)
-    violations = 0
-    counterexample = None
-    for k in range(samples):
+    def witness(k):
         m = so8.random_element(cfg.seed + k, cfg.bound)
         via_matchings = invariants.pfaffian_matchings(m)
         via_perms = invariants.pfaffian_permutation_sum(m)
         det = m.matrix.determinant()
         if via_matchings != via_perms or via_matchings ** 2 != det:
-            violations += 1
-            if counterexample is None:
-                counterexample = {"sample": k,
-                                  "matchings": format_rational(via_matchings),
-                                  "permutation_sum": format_rational(via_perms),
-                                  "determinant": format_rational(det)}
+            return {"sample": k,
+                    "matchings": format_rational(via_matchings),
+                    "permutation_sum": format_rational(via_perms),
+                    "determinant": format_rational(det)}
+        return None
+
+    entry = _sampled(min(cfg.samples, 50), witness)
     block_ok = True
     for lams in _BLOCK_TUPLES:
         m = invariants.canonical_block_element([Fraction(l) for l in lams])
         expected = Fraction(lams[0]) * Fraction(lams[1]) * Fraction(lams[2]) * Fraction(lams[3])
         if invariants.pfaffian_matchings(m) != expected:
             block_ok = False
-    status = "pass" if violations == 0 and block_ok else "fail"
-    entry = {"status": status, "samples": samples, "violations": violations,
-             "block_models_checked": len(_BLOCK_TUPLES), "block_models_ok": block_ok}
-    if counterexample:
-        entry["counterexample"] = counterexample
+    if not block_ok:
+        entry["status"] = "fail"
+    entry["block_models_checked"] = len(_BLOCK_TUPLES)
+    entry["block_models_ok"] = block_ok
     return entry
 
 
 def _check_newton(cfg: RunConfig) -> dict:
-    violations = 0
-    counterexample = None
-    for k in range(cfg.samples):
+    def witness(k):
         m = so8.random_element(cfg.seed + k, cfg.bound)
         via_newton = invariants.newton_coefficients(invariants.invariant_vector(m))
         via_charpoly = invariants.spectral_coefficients(m)
         if via_newton != via_charpoly:
-            violations += 1
-            if counterexample is None:
-                counterexample = {"sample": k,
-                                  "newton": via_newton.to_json(),
-                                  "char_poly": via_charpoly.to_json()}
-    entry = {"status": "pass" if violations == 0 else "fail",
-             "samples": cfg.samples, "violations": violations}
-    if counterexample:
-        entry["counterexample"] = counterexample
-    return entry
+            return {"sample": k, "newton": via_newton.to_json(),
+                    "char_poly": via_charpoly.to_json()}
+        return None
+
+    return _sampled(cfg.samples, witness)
 
 
 def _check_g2_locus(cfg: RunConfig) -> dict:
     sub = automorphisms.g2_fixed_subalgebra()
-    samples = min(cfg.samples, 50)
-    violations = 0
-    counterexample = None
-    for k in range(samples):
+
+    def witness(k):
         m = sub.random_element(cfg.seed + k, cfg.bound)
         check = invariants.eigenstructure_check(m, "g2")
         c1, c3 = invariants.g2_restriction(m)
         v = invariants.invariant_vector(m)
         e = invariants.spectral_coefficients(m)
-        ok = (check["status"] == "pass" and c1 == v.p1 / 2 and c3 == -e.e3)
-        if not ok:
-            violations += 1
-            if counterexample is None:
-                counterexample = {"sample": k, "eigenstructure": check}
-    entry = {"status": "pass" if violations == 0 else "fail",
-             "samples": samples, "violations": violations}
-    if counterexample:
-        entry["counterexample"] = counterexample
-    return entry
+        if not (check["status"] == "pass" and c1 == v.p1 / 2 and c3 == -e.e3):
+            return {"sample": k, "eigenstructure": check}
+        return None
+
+    return _sampled(min(cfg.samples, 50), witness)
 
 
 def _check_so7_locus(cfg: RunConfig) -> dict:
     sub = automorphisms.so7_fixed_subalgebra()
-    samples = min(cfg.samples, 50)
-    violations = 0
-    for k in range(samples):
+
+    def witness(k):
         m = sub.random_element(cfg.seed + k, cfg.bound)
-        if invariants.eigenstructure_check(m, "so7")["status"] != "pass":
-            violations += 1
-    return {"status": "pass" if violations == 0 else "fail",
-            "samples": samples, "violations": violations}
+        check = invariants.eigenstructure_check(m, "so7")
+        if check["status"] != "pass":
+            return {"sample": k, "eigenstructure": check}
+        return None
+
+    return _sampled(min(cfg.samples, 50), witness)
 
 
 def _check_generic_eigenstructure(cfg: RunConfig) -> dict:

@@ -4,16 +4,45 @@ import pytest
 
 from triality import SquareMatrix
 from triality.automorphisms import (ORDER3_BLOCK, FixedSubalgebra, TrialityMap,
-                                    fixed_subalgebra, g2_fixed_subalgebra,
-                                    identify_fixed_algebra, intersection_basis,
+                                    _involution_matrix, fixed_subalgebra,
+                                    g2_fixed_subalgebra, identify_fixed_algebra,
                                     killing_form, outer_involution, sigma,
                                     so7_fixed_subalgebra,
-                                    span_intersection_dimension,
                                     verify_bracket_preservation)
-from triality.exact import ConsistencyError
+from triality.exact import ConsistencyError, kernel_basis_of_rows, rref
 from triality.so8 import GENERATORS, Generator, So8Element, bracket, random_element
 
 HALF = Fraction(1, 2)
+
+# the documented involution: conjugation by this orthogonal matrix of determinant -1
+OUTER_CONJUGATOR = SquareMatrix.diagonal([1] * 7 + [-1])
+
+
+def conjugated(x: So8Element) -> So8Element:
+    """The dense 8x8 definition of the involution, A * X * A with A = OUTER_CONJUGATOR."""
+    return So8Element.from_matrix(OUTER_CONJUGATOR * x.matrix * OUTER_CONJUGATOR)
+
+
+def span_intersection_dimension(a: FixedSubalgebra, b: FixedSubalgebra) -> int:
+    """dim(span A intersect span B) = dim A + dim B - rank [A B]."""
+    columns = [x.coeffs for x in a.basis] + [y.coeffs for y in b.basis]
+    _, pivots = rref([list(col) for col in zip(*columns)])
+    return a.dim + b.dim - len(pivots)
+
+
+def intersection_basis(a: FixedSubalgebra, b: FixedSubalgebra) -> list:
+    """A basis of span A intersect span B, as so(8) elements."""
+    columns = [x.coeffs for x in a.basis] + [tuple(-c for c in y.coeffs) for y in b.basis]
+    rows = [list(col) for col in zip(*columns)]
+    out = []
+    for v in kernel_basis_of_rows(rows, a.dim + b.dim):
+        elem = So8Element.zero()
+        for i in range(a.dim):
+            if v[i] != 0:
+                elem = elem + a.basis[i].scale(v[i])
+        if not elem.is_zero():
+            out.append(elem)
+    return out
 
 
 class TestBlock:
@@ -113,6 +142,21 @@ class TestOuterInvolution:
         assert outer_involution(g07) == -g07
         g12 = So8Element.from_generator(Generator(1, 2))
         assert outer_involution(g12) == g12
+
+    def test_sign_flip_matches_dense_conjugation(self):
+        for g in GENERATORS:
+            e = So8Element.from_generator(g)
+            assert outer_involution(e) == conjugated(e)
+        for seed in range(80, 90):
+            x = random_element(seed)
+            assert outer_involution(x) == conjugated(x)
+
+    def test_action_matrix_is_conjugation_diagonal(self):
+        columns = [conjugated(So8Element.from_generator(g)).coeffs for g in GENERATORS]
+        expected = SquareMatrix(zip(*columns))
+        assert _involution_matrix() == expected
+        assert expected == SquareMatrix.diagonal(
+            [-1 if g.j == 7 else 1 for g in GENERATORS])
 
 
 class TestFixedSubalgebras:

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from triality.cli import main
 from triality.invariants import (canonical_block_element, invariant_vector,
@@ -49,6 +52,15 @@ class TestVerifyCommand:
         assert run_cli("verify", "--samples", "nope").returncode == 2
         assert run_cli("frobnicate").returncode == 2
         assert run_cli("verify", "--suite", "nonsense").returncode == 2
+
+    def test_integer_option_messages(self, capsys):
+        for argv, message in ((["verify", "--samples", "0"], "must be >= 1, got 0"),
+                              (["verify", "--seed", "-1"], "must be >= 0, got -1"),
+                              (["verify", "--bound", "x"], "not an integer: 'x'")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
 
     def test_byte_identical_reports(self):
         args = ("verify", "--samples", "3", "--seed", "42", "--suite", "invariants",
@@ -170,3 +182,24 @@ class TestDumpCommand:
         second = run_cli("dump", "--json")
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+# sha256 of the stdout of `triality <argv>`. These outputs are part of the
+# contract: a refactor must leave them byte-identical, and a deliberate change
+# to them updates the digest here.
+GOLDEN_SHA256 = {
+    ("dump", "--json"):
+        "422e9f102e67077b1f4ab52c7e6cab2c2c91a739674e07e0ec0d98488ca21994",
+    ("fixed", "--json"):
+        "acc26a6b8345bcac4ea5b6761a69417e15ac95ae7f26767f6857ebcbb884dfba",
+    ("verify", "--json", "--samples", "3", "--seed", "42"):
+        "17edb59f7964529fb9e7930a5b732c3e29f60e0178cf0daf82a204778340d02b",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256), ids=lambda argv: argv[0])
+    def test_output_is_byte_identical(self, argv, capsys):
+        assert main(list(argv)) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == GOLDEN_SHA256[argv]

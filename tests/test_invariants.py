@@ -9,18 +9,23 @@ from triality.invariants import (C3_COEFFICIENTS, CANDIDATE_C3_COEFFICIENTS,
                                  ETA_MODEL_POINTS, InvariantVector, T_MATRIX,
                                  canonical_block_element,
                                  candidate_eta2_coefficient,
-                                 candidate_eta4_coefficient, degree6_vector,
+                                 candidate_eta4_coefficient,
                                  derive_c3_coefficients, eigenstructure_check,
                                  eta_model_values, fixed_degree6_space,
                                  g2_restriction, invariant_vector,
                                  newton_coefficients, pfaffian_matchings,
-                                 pfaffian_permutation_sum, pfaffian_s7_sum,
-                                 pfaffian_s8_sum, sigma_transform_invariants,
+                                 pfaffian_permutation_sum,
+                                 sigma_transform_invariants,
                                  spectral_coefficients, t_matrix, tr_power)
 from triality.exact import SquareMatrix
 from triality.so8 import Generator, So8Element, random_element
 
 BLOCK_1234 = canonical_block_element([1, 2, 3, 4])
+
+
+def degree6_vector(v: InvariantVector) -> tuple:
+    """The degree-6 monomial basis (p1^3, p1*p2, p1*pf, p3), the order T_MATRIX uses."""
+    return (v.p1 ** 3, v.p1 * v.p2, v.p1 * v.pf, v.p3)
 
 
 class TestTracePowers:
@@ -63,8 +68,7 @@ class TestPfaffian:
         for k in range(50):
             m = random_element(2000 + k)
             value = pfaffian_matchings(m)
-            assert pfaffian_s7_sum(m) == value
-            assert pfaffian_s8_sum(m) == value
+            assert pfaffian_permutation_sum(m) == value
 
     def test_square_is_determinant(self):
         for k in range(50):
@@ -73,7 +77,7 @@ class TestPfaffian:
 
     def test_fractional_entries(self):
         m = So8Element([Fraction(1, 3)] * 28)
-        assert pfaffian_s8_sum(m) == pfaffian_matchings(m)
+        assert pfaffian_permutation_sum(m) == pfaffian_matchings(m)
 
 
 class TestSpectral:

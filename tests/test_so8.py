@@ -5,8 +5,12 @@ import pytest
 
 from triality import SquareMatrix
 from triality.so8 import (DIMENSION, GENERATORS, Generator, So8Element, bracket,
-                          generator_matrix, quadruples, random_element,
-                          random_elements)
+                          generator_matrix, quadruples, random_element)
+
+
+def random_elements(count: int, seed: int, bound: int = 9) -> list:
+    """Samples k = 0..count-1 drawn as random_element(seed + k, bound)."""
+    return [random_element(seed + k, bound) for k in range(count)]
 
 
 class TestGenerators:

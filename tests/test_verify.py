@@ -1,16 +1,24 @@
+import pytest
+
 from triality.verify import RunConfig, SUITES, build_report, report_passed
 
 SMALL = RunConfig(samples=3, seed=42)
 
 
+@pytest.fixture(scope="module")
+def small_report():
+    """One build_report(SMALL), shared by the tests that only read it."""
+    return build_report(SMALL)
+
+
 class TestReport:
-    def test_all_checks_pass_by_default(self):
-        entries = build_report(SMALL)
+    def test_all_checks_pass_by_default(self, small_report):
+        entries = small_report
         assert report_passed(entries)
         assert all(e["status"] in ("pass", "discrepancy-confirmed") for e in entries)
 
-    def test_discrepancy_entries_present_with_witnesses(self):
-        entries = {e["check_id"]: e for e in build_report(SMALL)}
+    def test_discrepancy_entries_present_with_witnesses(self, small_report):
+        entries = {e["check_id"]: e for e in small_report}
         for check_id in ("invariants.eta4_coefficient_discrepancy",
                          "invariants.eta2_coefficient_discrepancy",
                          "invariants.c3_coefficient_discrepancy",
@@ -46,6 +54,17 @@ class TestReport:
         assert bracket["violations"] > 0
         assert "counterexample" in bracket
         assert by_id["triality.order_three"]["status"] == "fail"
+
+    @pytest.mark.parametrize("suite", ["triality", "invariants"])
+    def test_failing_sampled_entries_carry_counterexamples(self, suite):
+        entries = build_report(RunConfig(samples=2, seed=42, suite=suite,
+                                         corrupt_constant=True))
+        failing = [e for e in entries if e["status"] == "fail"]
+        assert failing
+        for entry in failing:
+            if "samples" in entry:
+                assert "counterexample" in entry, entry["check_id"]
+                assert entry["violations"] > 0
 
     def test_discrepancies_do_not_fail_the_run(self):
         entries = build_report(RunConfig(samples=2, seed=42, suite="invariants"))
