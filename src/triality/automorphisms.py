@@ -24,6 +24,7 @@ matrix of determinant -1) fixes the obvious so(7), dimension 21, rank 3.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -231,26 +232,18 @@ def fixed_subalgebra(tmap: Optional[TrialityMap] = None,
     return _fixed_locus(tmap.full, expected_dim, tag)
 
 
-_G2_CACHE: Optional[FixedSubalgebra] = None
-_SO7_CACHE: Optional[FixedSubalgebra] = None
-
-
+@functools.cache
 def g2_fixed_subalgebra() -> FixedSubalgebra:
     """The 14-dimensional fixed subalgebra of the standard order-3 map.
 
     Computed once and shared; the object is read-only after construction."""
-    global _G2_CACHE
-    if _G2_CACHE is None:
-        _G2_CACHE = fixed_subalgebra(TrialityMap.standard(), expected_dim=14, tag="g2")
-    return _G2_CACHE
+    return fixed_subalgebra(TrialityMap.standard(), expected_dim=14, tag="g2")
 
 
+@functools.cache
 def so7_fixed_subalgebra() -> FixedSubalgebra:
     """The 21-dimensional fixed locus of the outer involution."""
-    global _SO7_CACHE
-    if _SO7_CACHE is None:
-        _SO7_CACHE = _fixed_locus(_involution_matrix(), expected_dim=21, tag="so7")
-    return _SO7_CACHE
+    return _fixed_locus(_involution_matrix(), expected_dim=21, tag="so7")
 
 
 def _fixed_locus(action: SquareMatrix, expected_dim: Optional[int], tag: str) -> FixedSubalgebra:

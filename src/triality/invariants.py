@@ -26,11 +26,12 @@ the discrepancy is demonstrated rather than asserted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .automorphisms import sigma
 from .exact import (ConsistencyError, Polynomial, Rational, SpanSolver,
@@ -140,19 +141,17 @@ def _permutation_sign(perm: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-_S7_TERMS: Optional[list[tuple[int, tuple[int, ...]]]] = None
+@functools.cache
+def _s7_terms() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    return tuple((_permutation_sign(p), p) for p in itertools.permutations(range(1, 8)))
 
 
 def pfaffian_permutation_sum(m: So8Element) -> Rational:
     """The paper's literal permutation sum: over the 5040 permutations p of
     {1..7}, sign(p) * M[0][p1] M[p2][p3] M[p4][p5] M[p6][p7], prefactor 1/(3! * 2^3)."""
-    global _S7_TERMS
-    if _S7_TERMS is None:
-        _S7_TERMS = [(_permutation_sign(p), p)
-                     for p in itertools.permutations(range(1, 8))]
     rows, den = _integer_rows(m.matrix)
     total = 0
-    for sign, p in _S7_TERMS:
+    for sign, p in _s7_terms():
         total += sign * rows[0][p[0]] * rows[p[1]][p[2]] * rows[p[3]][p[4]] * rows[p[5]][p[6]]
     return Fraction(total, 48) / den ** 4
 
@@ -278,10 +277,12 @@ def g2_restriction(m: So8Element) -> tuple[Rational, Rational]:
     if sigma(m) != m:
         raise ValueError("element is not fixed by the order-3 automorphism")
     v = invariant_vector(m)
-    c1 = v.p1 / 2
+    return (v.p1 / 2, _restricted_c3(v))
+
+
+def _restricted_c3(v: InvariantVector) -> Rational:
     a, b, g = C3_COEFFICIENTS
-    c3 = a * v.p1 ** 3 + b * v.p1 * v.p2 + g * v.p3
-    return (c1, c3)
+    return a * v.p1 ** 3 + b * v.p1 * v.p2 + g * v.p3
 
 
 def eta_model_values(h1: Rational, h2: Rational) -> tuple[Rational, Rational, Rational, Rational]:
@@ -366,7 +367,8 @@ def eigenstructure_check(m: So8Element, tag: str) -> dict:
 
     so8: no constraint (reported as generic). so7: two zero eigenvalues force
     e4 = 0 and Pf = 0. g2: additionally the zero-sum eigenvalue triple forces
-    e2 = e1^2/4 and Tr(M^4) = Tr(M^2)^2/4."""
+    e2 = e1^2/4 and Tr(M^4) = Tr(M^2)^2/4, the degree-6 restriction c3 of
+    g2_restriction() equals -e3, and m must be fixed by the order-3 map."""
     if tag not in ("so8", "so7", "g2"):
         raise ValueError(f"unknown tag {tag!r}; expected so8, so7 or g2")
     v = invariant_vector(m)
@@ -378,6 +380,8 @@ def eigenstructure_check(m: So8Element, tag: str) -> dict:
     if tag == "g2":
         constraints["e2_is_quarter_e1_squared"] = 4 * e.e2 == e.e1 ** 2
         constraints["p2_is_quarter_p1_squared"] = 4 * v.p2 == v.p1 ** 2
+        constraints["c3_is_minus_e3"] = _restricted_c3(v) == -e.e3
+        constraints["sigma_fixed"] = sigma(m) == m
     if tag == "so8":
         status = "generic"
     else:

@@ -10,10 +10,11 @@ byte-identical reports.
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import automorphisms, invariants, octonion, so8
 from .exact import ConsistencyError, SquareMatrix, format_rational
@@ -32,18 +33,15 @@ class RunConfig:
     corrupt_constant: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "bound": self.bound,
-            "suite": self.suite,
-            "corrupt_constant": self.corrupt_constant,
-        }
+        return asdict(self)
 
 
 def build_report(cfg: RunConfig) -> list[dict]:
     tmap = (automorphisms.TrialityMap.corrupted() if cfg.corrupt_constant
             else automorphisms.TrialityMap.standard())
+    # the generic samples m_k = random_element(seed + k, bound) are drawn and
+    # evaluated once, on first use, for every check that reads them
+    samples = functools.cache(lambda: _generic_samples(cfg, tmap))
     checks: list[tuple[str, str, Callable[[], dict]]] = []
 
     def add(suite, check_id, fn):
@@ -67,24 +65,30 @@ def build_report(cfg: RunConfig) -> list[dict]:
     add("triality", "triality.trace_form", lambda: _check_trace_form(tmap))
 
     add("invariants", "invariants.transformation_law",
-        lambda: _check_transformation_law(cfg, tmap))
+        lambda: _check_transformation_law(samples()))
     add("invariants", "invariants.transformation_order_three",
-        lambda: _check_transformation_order(cfg))
+        lambda: _check_transformation_order(samples()))
     add("invariants", "invariants.t_matrix", _check_t_matrix)
     add("invariants", "invariants.degree6_invariance",
-        lambda: _check_degree6_invariance(cfg, tmap))
+        lambda: _check_degree6_invariance(samples()[:50]))
     add("invariants", "invariants.pfaffian_consistency",
         lambda: _check_pfaffian(cfg))
-    add("invariants", "invariants.newton_oracle", lambda: _check_newton(cfg))
-    add("invariants", "invariants.g2_locus", lambda: _check_g2_locus(cfg))
-    add("invariants", "invariants.so7_locus", lambda: _check_so7_locus(cfg))
+    add("invariants", "invariants.newton_oracle",
+        lambda: _check_newton(samples()))
+    add("invariants", "invariants.g2_locus",
+        lambda: _check_locus(cfg, automorphisms.g2_fixed_subalgebra(), "g2"))
+    add("invariants", "invariants.so7_locus",
+        lambda: _check_locus(cfg, automorphisms.so7_fixed_subalgebra(), "so7"))
     add("invariants", "invariants.generic_eigenstructure",
         lambda: _check_generic_eigenstructure(cfg))
     add("invariants", "invariants.c3_model", _check_c3_model)
     add("invariants", "invariants.eta4_coefficient_discrepancy",
-        _check_eta4_discrepancy)
+        lambda: _check_eta_discrepancy("e2", invariants.candidate_eta4_coefficient,
+                                       "p1^2/4 + p2/8", "(q1^2 - q2)/2"))
     add("invariants", "invariants.eta2_coefficient_discrepancy",
-        _check_eta2_discrepancy)
+        lambda: _check_eta_discrepancy("e3", invariants.candidate_eta2_coefficient,
+                                       "p1^3/48 - 6 p1 p2 + 8 p3",
+                                       "(q1^3 - 3 q1 q2 + 2 q3)/6", reject_negation=True))
     add("invariants", "invariants.c3_coefficient_discrepancy",
         _check_c3_discrepancy)
     add("invariants", "invariants.g2_trace_ratio_discrepancy",
@@ -98,6 +102,8 @@ def build_report(cfg: RunConfig) -> list[dict]:
             entry = fn()
         except (ConsistencyError, ValueError) as exc:
             entry = {"status": "fail", "error": str(exc)}
+        except Exception as exc:  # one broken check must not abort the report
+            entry = {"status": "fail", "error": f"{type(exc).__name__}: {exc}"}
         entry["check_id"] = check_id
         entry["suite"] = suite
         entries.append(entry)
@@ -242,10 +248,15 @@ def _check_quadruples() -> dict:
 
 
 def _check_bracket_antisymmetry() -> dict:
+    # [a, b] = -[b, a] fails for (a, b) exactly when it fails for (b, a), so
+    # the first failing pair in row-major order has a <= b; walking those
+    # computes each of the 784 ordered brackets once
     elems = [so8.So8Element.from_generator(g) for g in so8.GENERATORS]
     for a in range(28):
-        for b in range(28):
-            if so8.bracket(elems[a], elems[b]) != -so8.bracket(elems[b], elems[a]):
+        for b in range(a, 28):
+            ab = so8.bracket(elems[a], elems[b])
+            ba = ab if a == b else so8.bracket(elems[b], elems[a])
+            if ab != -ba:
                 return {"status": "fail",
                         "counterexample": {"pair": [so8.GENERATORS[a].label,
                                                     so8.GENERATORS[b].label]}}
@@ -320,22 +331,42 @@ def _check_trace_form(tmap: automorphisms.TrialityMap) -> dict:
 # invariants suite
 # ---------------------------------------------------------------------------
 
-def _check_transformation_law(cfg: RunConfig, tmap) -> dict:
-    def witness(k):
+class _Sample(NamedTuple):
+    """What the sampled invariants checks read of one generic sample m: the
+    invariants of m (v) and of sigma(m) (w), each from its own matrix, and
+    the characteristic-polynomial coefficients of m (e). The element itself
+    is not kept; a check that needs it draws it again."""
+
+    v: invariants.InvariantVector
+    w: invariants.InvariantVector
+    e: invariants.SpectralCoefficients
+
+
+def _generic_samples(cfg: RunConfig, tmap) -> list[_Sample]:
+    out = []
+    for k in range(cfg.samples):
         m = so8.random_element(cfg.seed + k, cfg.bound)
-        direct = invariants.invariant_vector(tmap.apply(m))
-        closed_form = invariants.sigma_transform_invariants(invariants.invariant_vector(m))
+        out.append(_Sample(invariants.invariant_vector(m),
+                           invariants.invariant_vector(tmap.apply(m)),
+                           invariants.spectral_coefficients(m)))
+    return out
+
+
+def _check_transformation_law(samples: list[_Sample]) -> dict:
+    def witness(k):
+        direct = samples[k].w
+        closed_form = invariants.sigma_transform_invariants(samples[k].v)
         if direct != closed_form:
             return {"sample": k, "direct": direct.to_json(),
                     "closed_form": closed_form.to_json()}
         return None
 
-    return _sampled(cfg.samples, witness)
+    return _sampled(len(samples), witness)
 
 
-def _check_transformation_order(cfg: RunConfig) -> dict:
+def _check_transformation_order(samples: list[_Sample]) -> dict:
     def witness(k):
-        v = invariants.invariant_vector(so8.random_element(cfg.seed + k, cfg.bound))
+        v = samples[k].v
         w = invariants.sigma_transform_invariants(
             invariants.sigma_transform_invariants(
                 invariants.sigma_transform_invariants(v)))
@@ -343,7 +374,7 @@ def _check_transformation_order(cfg: RunConfig) -> dict:
             return {"sample": k, "invariants": v.to_json(), "third_image": w.to_json()}
         return None
 
-    return _sampled(cfg.samples, witness)
+    return _sampled(len(samples), witness)
 
 
 _EXPECTED_T_SQUARED = SquareMatrix([
@@ -364,18 +395,16 @@ def _check_t_matrix() -> dict:
             "fixed_space_dim": len(space)}
 
 
-def _check_degree6_invariance(cfg: RunConfig, tmap) -> dict:
+def _check_degree6_invariance(samples: list[_Sample]) -> dict:
     def witness(k):
-        m = so8.random_element(cfg.seed + k, cfg.bound)
-        v = invariants.invariant_vector(m)
-        w = invariants.invariant_vector(tmap.apply(m))
+        v, w = samples[k].v, samples[k].w
         cubic_ok = v.p1 ** 3 == w.p1 ** 3
         mixed_ok = 5 * v.p1 * v.p2 - 8 * v.p3 == 5 * w.p1 * w.p2 - 8 * w.p3
         if not (cubic_ok and mixed_ok):
             return {"sample": k, "invariants": v.to_json(), "image_invariants": w.to_json()}
         return None
 
-    return _sampled(min(cfg.samples, 50), witness)
+    return _sampled(len(samples), witness)
 
 
 _BLOCK_TUPLES = (
@@ -413,41 +442,22 @@ def _check_pfaffian(cfg: RunConfig) -> dict:
     return entry
 
 
-def _check_newton(cfg: RunConfig) -> dict:
+def _check_newton(samples: list[_Sample]) -> dict:
     def witness(k):
-        m = so8.random_element(cfg.seed + k, cfg.bound)
-        via_newton = invariants.newton_coefficients(invariants.invariant_vector(m))
-        via_charpoly = invariants.spectral_coefficients(m)
+        via_newton = invariants.newton_coefficients(samples[k].v)
+        via_charpoly = samples[k].e
         if via_newton != via_charpoly:
             return {"sample": k, "newton": via_newton.to_json(),
                     "char_poly": via_charpoly.to_json()}
         return None
 
-    return _sampled(cfg.samples, witness)
+    return _sampled(len(samples), witness)
 
 
-def _check_g2_locus(cfg: RunConfig) -> dict:
-    sub = automorphisms.g2_fixed_subalgebra()
-
+def _check_locus(cfg: RunConfig, sub: automorphisms.FixedSubalgebra, tag: str) -> dict:
     def witness(k):
-        m = sub.random_element(cfg.seed + k, cfg.bound)
-        check = invariants.eigenstructure_check(m, "g2")
-        c1, c3 = invariants.g2_restriction(m)
-        v = invariants.invariant_vector(m)
-        e = invariants.spectral_coefficients(m)
-        if not (check["status"] == "pass" and c1 == v.p1 / 2 and c3 == -e.e3):
-            return {"sample": k, "eigenstructure": check}
-        return None
-
-    return _sampled(min(cfg.samples, 50), witness)
-
-
-def _check_so7_locus(cfg: RunConfig) -> dict:
-    sub = automorphisms.so7_fixed_subalgebra()
-
-    def witness(k):
-        m = sub.random_element(cfg.seed + k, cfg.bound)
-        check = invariants.eigenstructure_check(m, "so7")
+        check = invariants.eigenstructure_check(
+            sub.random_element(cfg.seed + k, cfg.bound), tag)
         if check["status"] != "pass":
             return {"sample": k, "eigenstructure": check}
         return None
@@ -488,35 +498,22 @@ def _check_c3_model() -> dict:
 _WITNESS_BLOCK = (1, 2, 3, 4)
 
 
-def _check_eta4_discrepancy() -> dict:
+def _check_eta_discrepancy(field: str, candidate_of: Callable, candidate_expression: str,
+                           derived_expression: str, reject_negation: bool = False) -> dict:
+    """A rejected candidate for the spectral coefficient `field` differs from
+    it on the witness block, where Newton's identities reproduce it; with
+    reject_negation the candidate must not match it up to sign either."""
     m = invariants.canonical_block_element([Fraction(l) for l in _WITNESS_BLOCK])
     v = invariants.invariant_vector(m)
-    derived = invariants.newton_coefficients(v).e2
-    oracle = invariants.spectral_coefficients(m).e2
-    candidate = invariants.candidate_eta4_coefficient(v)
-    confirmed = derived == oracle and candidate != oracle
+    derived = getattr(invariants.newton_coefficients(v), field)
+    oracle = getattr(invariants.spectral_coefficients(m), field)
+    candidate = candidate_of(v)
+    confirmed = (derived == oracle and candidate != oracle
+                 and not (reject_negation and candidate == -oracle))
     return {
         "status": "discrepancy-confirmed" if confirmed else "fail",
-        "candidate_expression": "p1^2/4 + p2/8",
-        "derived_expression": "(q1^2 - q2)/2 with q_k = (-1)^k Tr(M^(2k))/2",
-        "witness": {"block_parameters": list(_WITNESS_BLOCK),
-                    "candidate_value": format_rational(candidate),
-                    "derived_value": format_rational(derived),
-                    "char_poly_coefficient": format_rational(oracle)},
-    }
-
-
-def _check_eta2_discrepancy() -> dict:
-    m = invariants.canonical_block_element([Fraction(l) for l in _WITNESS_BLOCK])
-    v = invariants.invariant_vector(m)
-    derived = invariants.newton_coefficients(v).e3
-    oracle = invariants.spectral_coefficients(m).e3
-    candidate = invariants.candidate_eta2_coefficient(v)
-    confirmed = derived == oracle and candidate != oracle and candidate != -oracle
-    return {
-        "status": "discrepancy-confirmed" if confirmed else "fail",
-        "candidate_expression": "p1^3/48 - 6 p1 p2 + 8 p3",
-        "derived_expression": "(q1^3 - 3 q1 q2 + 2 q3)/6 with q_k = (-1)^k Tr(M^(2k))/2",
+        "candidate_expression": candidate_expression,
+        "derived_expression": derived_expression + " with q_k = (-1)^k Tr(M^(2k))/2",
         "witness": {"block_parameters": list(_WITNESS_BLOCK),
                     "candidate_value": format_rational(candidate),
                     "derived_value": format_rational(derived),

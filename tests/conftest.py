@@ -1,9 +1,24 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import triality
 from triality import SquareMatrix
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """Put the directory holding the imported `triality` first on PYTHONPATH,
+    so `python -m triality.cli` subprocesses run the same package as the
+    tests, installed or not."""
+    root = str(Path(triality.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", path)
+        yield
 
 
 def signed_permutation(seed: int) -> SquareMatrix:

@@ -203,3 +203,11 @@ class TestGoldenOutput:
         assert main(list(argv)) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert digest == GOLDEN_SHA256[argv]
+
+    def test_failing_invariants_report_is_byte_identical(self, capsys):
+        # pins the counterexample witnesses of the failing sampled checks
+        argv = ["verify", "--json", "--samples", "3", "--suite", "invariants",
+                "--corrupt-constant"]
+        assert main(argv) == 1
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == "0e77eab054fd76c2c9bb3a1818d7be5a95cecaa5786363f038632d8a7f48de00"

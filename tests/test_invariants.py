@@ -292,6 +292,8 @@ class TestEigenstructure:
         assert report["status"] == "pass"
         assert report["constraints"]["e2_is_quarter_e1_squared"] is True
         assert report["constraints"]["p2_is_quarter_p1_squared"] is True
+        assert report["constraints"]["c3_is_minus_e3"] is True
+        assert report["constraints"]["sigma_fixed"] is True
 
     def test_generic_tag(self):
         report = eigenstructure_check(random_element(4402), "so8")
@@ -301,6 +303,7 @@ class TestEigenstructure:
     def test_failing_constraint_detected(self):
         report = eigenstructure_check(random_element(4403), "g2")
         assert report["status"] == "fail"
+        assert report["constraints"]["sigma_fixed"] is False
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import pytest
 
+from triality import invariants, verify
 from triality.verify import RunConfig, SUITES, build_report, report_passed
 
 SMALL = RunConfig(samples=3, seed=42)
@@ -70,3 +71,26 @@ class TestReport:
         entries = build_report(RunConfig(samples=2, seed=42, suite="invariants"))
         assert any(e["status"] == "discrepancy-confirmed" for e in entries)
         assert report_passed(entries)
+
+    def test_unexpected_exception_fails_one_check(self, monkeypatch):
+        def broken():
+            raise KeyError("missing")
+
+        monkeypatch.setattr(verify, "_check_octonion_table", broken)
+        entries = build_report(RunConfig(samples=2, seed=42, suite="octonion"))
+        assert [e["check_id"] for e in entries] == [
+            "octonion.table_rules", "octonion.rotation_automorphism",
+            "octonion.quaternion_lines", "octonion.norm_composition"]
+        assert entries[0] == {"status": "fail", "error": "KeyError: 'missing'",
+                              "check_id": "octonion.table_rules", "suite": "octonion"}
+        assert all(e["status"] == "pass" for e in entries[1:])
+
+    def test_g2_locus_checks_the_c3_restriction(self, monkeypatch):
+        monkeypatch.setattr(invariants, "C3_COEFFICIENTS",
+                            invariants.CANDIDATE_C3_COEFFICIENTS)
+        entries = {e["check_id"]: e for e in
+                   build_report(RunConfig(samples=3, seed=42, suite="invariants"))}
+        g2 = entries["invariants.g2_locus"]
+        assert g2["status"] == "fail"
+        assert g2["violations"] == 3
+        assert "counterexample" in g2
