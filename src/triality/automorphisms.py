@@ -109,11 +109,11 @@ def _involution_matrix() -> SquareMatrix:
 
 
 def verify_bracket_preservation(samples: int, seed: int,
-                                tmap: Optional[TrialityMap] = None) -> dict:
+                                tmap: Optional[TrialityMap] = None, bound: int = 9) -> dict:
     """Check phi[x,y] = [phi x, phi y] exactly; violations are report content.
 
-    Runs all 28x28 generator pairs plus `samples` seeded random pairs. The
-    returned report is JSON-ready.
+    Runs all 28x28 generator pairs plus `samples` seeded random pairs with
+    integer coefficients in [-bound, bound]. The returned report is JSON-ready.
     """
     tmap = tmap or TrialityMap.standard()
     violations = 0
@@ -144,8 +144,8 @@ def verify_bracket_preservation(samples: int, seed: int,
                   [GENERATORS[a].label, GENERATORS[b].label])
             checked += 1
     for k in range(samples):
-        x = random_element(seed + 2 * k)
-        y = random_element(seed + 2 * k + 1)
+        x = random_element(seed + 2 * k, bound)
+        y = random_element(seed + 2 * k + 1, bound)
         check(x, tmap.apply(x), y, tmap.apply(y), ["sample", k])
         checked += 1
 
@@ -232,21 +232,20 @@ def fixed_subalgebra(tmap: Optional[TrialityMap] = None,
     return _fixed_locus(tmap.full, expected_dim, tag)
 
 
-@functools.cache
 def g2_fixed_subalgebra() -> FixedSubalgebra:
-    """The 14-dimensional fixed subalgebra of the standard order-3 map.
-
-    Computed once and shared; the object is read-only after construction."""
+    """The 14-dimensional fixed subalgebra of the standard order-3 map."""
     return fixed_subalgebra(TrialityMap.standard(), expected_dim=14, tag="g2")
 
 
-@functools.cache
 def so7_fixed_subalgebra() -> FixedSubalgebra:
     """The 21-dimensional fixed locus of the outer involution."""
     return _fixed_locus(_involution_matrix(), expected_dim=21, tag="so7")
 
 
+@functools.cache
 def _fixed_locus(action: SquareMatrix, expected_dim: Optional[int], tag: str) -> FixedSubalgebra:
+    # computed once per (action, expected_dim, tag) and shared; the object is
+    # read-only after construction, and a failed construction is not cached
     delta = action - SquareMatrix.identity(DIMENSION)
     kernel = kernel_basis_of_rows([list(r) for r in delta.rows], DIMENSION)
     if expected_dim is not None and len(kernel) != expected_dim:

@@ -2,17 +2,21 @@
 kernels. Everything is built on `fractions.Fraction`; no floating point is
 used anywhere in this package.
 
-Determinants use fraction-free Bareiss elimination on an integer-rescaled
-copy, characteristic polynomials use the Faddeev-LeVerrier recursion, and
-null spaces come from exact reduced row echelon form. All results are exact,
-which is what the rest of the toolkit relies on: every downstream check is an
-identity, never a tolerance.
+Matrix entries are stored as `Fraction`s, but products and determinants run
+on integers: `integer_rows` writes a rational matrix as integer numerators
+over one common positive denominator, products multiply those integers and
+divide once per entry, and determinants use fraction-free Bareiss
+elimination on them. Characteristic polynomials use the Faddeev-LeVerrier
+recursion, and null spaces come from exact reduced row echelon form. All
+results are exact, which is what the rest of the toolkit relies on: every
+downstream check is an identity, never a tolerance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
@@ -137,15 +141,12 @@ class SquareMatrix:
 
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
         self._check_dim(other)
-        n = self.dim
-        cols = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            # skip zero entries; the 8x8 generator matrices are very sparse
-            nz = [(k, v) for k, v in enumerate(row) if v != 0]
-            out.append(tuple(sum((v * cols[j][k] for k, v in nz), _ZERO)
-                             for j in range(n)))
-        return SquareMatrix(out)
+        a, da = integer_rows(self.rows)
+        b, db = integer_rows(other.rows)
+        den = da * db
+        cols = tuple(zip(*b))
+        return SquareMatrix(tuple(Fraction(sum(map(mul, row, col)), den) for col in cols)
+                            for row in a)
 
     def _check_dim(self, other: "SquareMatrix") -> None:
         if self.dim != other.dim:
@@ -181,19 +182,10 @@ class SquareMatrix:
                    for i in range(self.dim) for j in range(i, self.dim))
 
     def determinant(self) -> Rational:
-        """Exact determinant via fraction-free Bareiss elimination.
-
-        Rows are rescaled to integers first so the elimination runs entirely
-        in (big) integer arithmetic.
-        """
-        scale = _ONE
-        work: list[list[int]] = []
-        for row in self.rows:
-            d = lcm(*(x.denominator for x in row))
-            scale *= d
-            work.append([int(x * d) for x in row])
-        det = _bareiss_determinant(work)
-        return Fraction(det) / scale
+        """Exact determinant via fraction-free Bareiss elimination on the
+        integer numerators N over den: det(N / den) = det(N) / den^n."""
+        work, den = integer_rows(self.rows)
+        return Fraction(_bareiss_determinant(work), den ** self.dim)
 
     def char_poly(self) -> Polynomial:
         """Characteristic polynomial det(self - x*I), exact.
@@ -229,6 +221,13 @@ class SquareMatrix:
     @classmethod
     def from_json(cls, rows: Sequence[Sequence[str]]) -> "SquareMatrix":
         return cls([[parse_rational(x) for x in row] for row in rows])
+
+
+def integer_rows(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int]:
+    """(numerators, den) with den > 0 the lcm of all denominators, so that
+    rows[i][j] == numerators[i][j] / den."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def _bareiss_determinant(a: list[list[int]]) -> int:
@@ -305,11 +304,8 @@ def kernel_basis_of_rows(rows: list[list[Rational]], n_cols: int) -> list[tuple[
 
 def primitive_integer_vector(vector: Sequence[Rational]) -> tuple[Rational, ...]:
     """Rescale a nonzero rational vector to coprime integers, first nonzero > 0."""
-    denoms = [Fraction(x).denominator for x in vector]
-    scaled = [int(Fraction(x) * lcm(*denoms)) for x in vector]
-    g = 0
-    for x in scaled:
-        g = gcd(g, abs(x))
+    (scaled,), _ = integer_rows([vector])
+    g = gcd(*scaled)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     scaled = [x // g for x in scaled]

@@ -30,12 +30,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .automorphisms import sigma
 from .exact import (ConsistencyError, Polynomial, Rational, SpanSolver,
-                    SquareMatrix, format_rational, kernel_basis_of_rows)
+                    SquareMatrix, format_rational, integer_rows, kernel_basis_of_rows)
 from .so8 import So8Element
 
 _ZERO = Fraction(0)
@@ -130,11 +129,6 @@ def pfaffian_matchings(m: So8Element) -> Rational:
     return total
 
 
-def _integer_rows(mat: SquareMatrix) -> tuple[list[list[int]], int]:
-    den = lcm(*(x.denominator for row in mat.rows for x in row))
-    return [[int(x * den) for x in row] for row in mat.rows], den
-
-
 def _permutation_sign(perm: Sequence[int]) -> int:
     inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
                      if perm[a] > perm[b])
@@ -149,7 +143,7 @@ def _s7_terms() -> tuple[tuple[int, tuple[int, ...]], ...]:
 def pfaffian_permutation_sum(m: So8Element) -> Rational:
     """The paper's literal permutation sum: over the 5040 permutations p of
     {1..7}, sign(p) * M[0][p1] M[p2][p3] M[p4][p5] M[p6][p7], prefactor 1/(3! * 2^3)."""
-    rows, den = _integer_rows(m.matrix)
+    rows, den = integer_rows(m.matrix.rows)
     total = 0
     for sign, p in _s7_terms():
         total += sign * rows[0][p[0]] * rows[p[1]][p[2]] * rows[p[3]][p[4]] * rows[p[5]][p[6]]

@@ -296,7 +296,7 @@ def _check_order_three(tmap: automorphisms.TrialityMap) -> dict:
 
 
 def _check_bracket_preservation(cfg: RunConfig, tmap) -> dict:
-    report = automorphisms.verify_bracket_preservation(cfg.samples, cfg.seed, tmap)
+    report = automorphisms.verify_bracket_preservation(cfg.samples, cfg.seed, tmap, cfg.bound)
     report.pop("check", None)
     return report
 

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -197,12 +199,36 @@ GOLDEN_SHA256 = {
 }
 
 
+# sha256 of the stdout of `triality <command> --input F --json` for the
+# rational element written by `_rational_element`
+RATIONAL_GOLDEN_SHA256 = {
+    "eval": "41658431cd36c7b0e1cecb3ac4f0402bb2a445ca1a79977f46ce72b8e3bf87a4",
+    "sigma": "7089ce0ba93baa3633acab8263d74764fc72d2c381011f6b34a1743cbce6e190",
+}
+
+
+def _rational_element(tmp_path):
+    """Coefficients p/q with |p| <= 10^6 and q <= 10^3, drawn independently."""
+    rng = random.Random(2009)
+    coeffs = [str(Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3)))
+              for _ in range(28)]
+    path = tmp_path / "rational.json"
+    path.write_text(json.dumps({"coeffs": coeffs}))
+    return str(path)
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256), ids=lambda argv: argv[0])
     def test_output_is_byte_identical(self, argv, capsys):
         assert main(list(argv)) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert digest == GOLDEN_SHA256[argv]
+
+    @pytest.mark.parametrize("command", sorted(RATIONAL_GOLDEN_SHA256))
+    def test_rational_element_output_is_byte_identical(self, command, tmp_path, capsys):
+        assert main([command, "--input", _rational_element(tmp_path), "--json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == RATIONAL_GOLDEN_SHA256[command]
 
     def test_failing_invariants_report_is_byte_identical(self, capsys):
         # pins the counterexample witnesses of the failing sampled checks

@@ -1,16 +1,32 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triality.exact import (Polynomial, SpanSolver, SquareMatrix, format_rational,
-                            kernel_basis_of_rows, parse_rational,
+                            integer_rows, kernel_basis_of_rows, parse_rational,
                             primitive_integer_vector)
+from triality.invariants import pfaffian_matchings, pfaffian_permutation_sum
+from triality.so8 import DIMENSION, So8Element
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                          max_denominator=10 ** 4)
+
+# numerators and denominators drawn independently, so the entries of one
+# matrix have unrelated denominators and the common denominator grows large
+entries = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 3))
+
+
+@st.composite
+def square_matrices(draw, max_n=5, count=1):
+    """`count` n x n matrices of one random size n <= max_n; some rows are zero."""
+    n = draw(st.integers(1, max_n))
+    row = st.lists(entries, min_size=n, max_size=n) | st.just([Fraction(0)] * n)
+    return [SquareMatrix(draw(st.lists(row, min_size=n, max_size=n)))
+            for _ in range(count)]
 
 
 class TestRationals:
@@ -204,3 +220,48 @@ class TestPrimitiveVector:
         rows = [[Fraction(1), Fraction(1), Fraction(0)]]
         basis = kernel_basis_of_rows(rows, 3)
         assert len(basis) == 2
+
+
+def _permutation_sign(perm):
+    inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+    return -1 if inversions % 2 else 1
+
+
+class TestIntegerForm:
+    """Products, determinants and the permutation-sum Pfaffian run on integer
+    numerators over one common denominator; each is checked here against its
+    definition on the Fraction entries."""
+
+    @given(mats=square_matrices())
+    def test_integer_rows_reproduce_entries(self, mats):
+        (a,) = mats
+        rows, den = integer_rows(a.rows)
+        assert den > 0
+        assert [[Fraction(x, den) for x in row] for row in rows] == [list(r) for r in a.rows]
+
+    @given(mats=square_matrices(count=2))
+    def test_product_matches_entrywise_sum(self, mats):
+        a, b = mats
+        n = a.dim
+        expected = [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
+                     for j in range(n)] for i in range(n)]
+        assert (a * b).rows == tuple(tuple(row) for row in expected)
+
+    @given(mats=square_matrices(max_n=4))
+    def test_determinant_matches_leibniz_sum(self, mats):
+        (a,) = mats
+        n = a.dim
+        leibniz = Fraction(0)
+        for perm in itertools.permutations(range(n)):
+            term = Fraction(_permutation_sign(perm))
+            for i, j in enumerate(perm):
+                term *= a[i][j]
+            leibniz += term
+        assert a.determinant() == leibniz
+
+    @settings(max_examples=40)
+    @given(coeffs=st.lists(entries | st.just(Fraction(0)),
+                           min_size=DIMENSION, max_size=DIMENSION))
+    def test_permutation_sum_pfaffian_matches_matchings(self, coeffs):
+        m = So8Element(coeffs)
+        assert pfaffian_permutation_sum(m) == pfaffian_matchings(m)

@@ -1,6 +1,6 @@
 import pytest
 
-from triality import invariants, verify
+from triality import automorphisms, invariants, verify
 from triality.verify import RunConfig, SUITES, build_report, report_passed
 
 SMALL = RunConfig(samples=3, seed=42)
@@ -94,3 +94,16 @@ class TestReport:
         assert g2["status"] == "fail"
         assert g2["violations"] == 3
         assert "counterexample" in g2
+
+    def test_bound_reaches_bracket_preservation(self, monkeypatch):
+        bounds = []
+        draw = automorphisms.random_element
+
+        def recording(seed, bound=9):
+            bounds.append(bound)
+            return draw(seed, bound)
+
+        monkeypatch.setattr(automorphisms, "random_element", recording)
+        entries = build_report(RunConfig(samples=2, bound=1, suite="triality"))
+        assert report_passed(entries)
+        assert bounds == [1] * 4
