@@ -35,7 +35,6 @@ from .so8 import (DIMENSION, GENERATORS, So8Element, bracket, quadruples,
                   random_element)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 ORDER3_BLOCK = SquareMatrix([
@@ -46,7 +45,7 @@ ORDER3_BLOCK = SquareMatrix([
 ])
 
 # conjugation by diag(1,...,1,-1) scales G(i,j) by a_i * a_j: -1 exactly when j = 7
-_INVOLUTION_SIGNS = tuple(-_ONE if g.j == 7 else _ONE for g in GENERATORS)
+_INVOLUTION_SIGNS = tuple(-1 if g.j == 7 else 1 for g in GENERATORS)
 
 # seeds for the generic-element rank probe; the minimum over these is reported
 RANK_SAMPLE_SEEDS = (101, 102, 103, 104, 105)
@@ -55,19 +54,23 @@ RANK_SAMPLE_SEEDS = (101, 102, 103, 104, 105)
 class TrialityMap:
     """The blockwise action on so(8) coefficients assembled from the quadruples."""
 
-    __slots__ = ("block", "full")
+    __slots__ = ("block", "full", "_terms")
 
     def __init__(self, block: SquareMatrix):
         if block.dim != 4:
             raise ValueError(f"block must be 4x4, got dim {block.dim}")
         self.block = block
-        rows = [[_ZERO] * DIMENSION for _ in range(DIMENSION)]
+        rows = [[0] * DIMENSION for _ in range(DIMENSION)]
         for quad in quadruples():
             pos = quad.positions()
             for k in range(4):
                 for l in range(4):
-                    rows[pos[k]][pos[l]] = quad.signs[k] * quad.signs[l] * block[k][l]
-        self.full = SquareMatrix(rows)
+                    rows[pos[k]][pos[l]] = (quad.signs[k] * quad.signs[l]
+                                            * block.numerators[k][l])
+        self.full = SquareMatrix.from_integers(rows, block.denominator)
+        # the nonzero integer numerators of each row of `full`: 4 per row
+        self._terms = tuple(tuple((j, a) for j, a in enumerate(row) if a)
+                            for row in self.full.numerators)
 
     @classmethod
     def standard(cls) -> "TrialityMap":
@@ -81,7 +84,10 @@ class TrialityMap:
         return cls(SquareMatrix(rows))
 
     def apply(self, x: So8Element) -> So8Element:
-        return So8Element(self.full.apply(x.coeffs))
+        """full * x as a sparse integer product over den(full) * den(x)."""
+        c = x.numerators
+        return So8Element.from_integers([sum(a * c[j] for j, a in terms) for terms in self._terms],
+                                        self.full.denominator * x.denominator)
 
     def apply_power(self, x: So8Element, power: int) -> So8Element:
         if power < 0:
@@ -101,7 +107,8 @@ def sigma(x: So8Element) -> So8Element:
 
 def outer_involution(x: So8Element) -> So8Element:
     """Conjugation by diag(1,...,1,-1): flips the sign of every G(i,7) coefficient."""
-    return So8Element([s * c for s, c in zip(_INVOLUTION_SIGNS, x.coeffs)])
+    return So8Element.from_integers([s * c for s, c in zip(_INVOLUTION_SIGNS, x.numerators)],
+                                    x.denominator)
 
 
 def _involution_matrix() -> SquareMatrix:

@@ -1,22 +1,27 @@
 """Exact rational linear algebra: dense matrices, characteristic polynomials,
-kernels. Everything is built on `fractions.Fraction`; no floating point is
-used anywhere in this package.
+kernels. Scalars are `fractions.Fraction`; no floating point is used
+anywhere in this package.
 
-Matrix entries are stored as `Fraction`s, but products and determinants run
-on integers: `integer_rows` writes a rational matrix as integer numerators
-over one common positive denominator, products multiply those integers and
-divide once per entry, and determinants use fraction-free Bareiss
-elimination on them. Characteristic polynomials use the Faddeev-LeVerrier
-recursion, and null spaces come from exact reduced row echelon form. All
-results are exact, which is what the rest of the toolkit relies on: every
-downstream check is an identity, never a tolerance.
+A `SquareMatrix` stores integer numerators over one positive denominator,
+kept in lowest terms (the gcd of the denominator and all numerators is 1,
+so the zero matrix has denominator 1). Equal matrices therefore have equal
+representations, and `==` and `hash` compare integers. `integer_rows`
+writes rational input in that form; products, sums, scaling, transposes,
+traces, fraction-free Bareiss determinants and the Faddeev-LeVerrier steps
+of characteristic polynomials run on the integers, and `lowest_terms`
+reduces each result once. The `Fraction` entries (`rows`, indexing) are a
+view built on first read. Null spaces come from exact reduced row echelon
+form on `Fraction`s. All results are exact, which is what the rest of the
+toolkit relies on: every downstream check is an identity, never a
+tolerance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
@@ -82,35 +87,56 @@ class Polynomial:
 
 
 class SquareMatrix:
-    """Immutable dense square matrix of rationals.
+    """Immutable dense square matrix of rationals: `numerators` (a tuple of
+    integer rows) over `denominator`, in lowest terms; `rows` is the
+    `Fraction` view.
 
     Sized for this toolkit: 4x4 transformation blocks, 8x8 antisymmetric
     matrices, and the 28x28 action on so(8) coefficients.
     """
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("dim", "numerators", "denominator", "_rows")
 
     def __init__(self, rows: Iterable[Iterable[Rational]]):
-        frozen = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        n = len(frozen)
-        if n == 0 or any(len(row) != n for row in frozen):
+        self._assign(*integer_rows([[Fraction(x) for x in row] for row in rows]))
+
+    @classmethod
+    def from_integers(cls, numerators: Iterable[Iterable[int]], den: int) -> "SquareMatrix":
+        """The matrix numerators[i][j] / den, reduced to lowest terms."""
+        m = cls.__new__(cls)
+        m._assign(numerators, den)
+        return m
+
+    def _assign(self, numerators: Iterable[Iterable[int]], den: int) -> None:
+        num, den = lowest_terms(tuple(map(tuple, numerators)), den)
+        n = len(num)
+        if n == 0 or any(len(row) != n for row in num):
             raise ValueError("matrix must be square and non-empty")
         self.dim = n
-        self.rows = frozen
+        self.numerators: tuple[tuple[int, ...], ...] = num
+        self.denominator = den
+        self._rows: Optional[tuple[tuple[Rational, ...], ...]] = None
 
     @classmethod
     def identity(cls, n: int) -> "SquareMatrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls.from_integers([[1 if i == j else 0 for j in range(n)] for i in range(n)], 1)
 
     @classmethod
     def zero(cls, n: int) -> "SquareMatrix":
-        return cls([[_ZERO] * n for _ in range(n)])
+        return cls.from_integers([[0] * n for _ in range(n)], 1)
 
     @classmethod
     def diagonal(cls, entries: Sequence[Rational]) -> "SquareMatrix":
         n = len(entries)
-        return cls([[Fraction(entries[i]) if i == j else _ZERO for j in range(n)]
-                    for i in range(n)])
+        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @property
+    def rows(self) -> tuple[tuple[Rational, ...], ...]:
+        """The entries as `Fraction`s, built on first read."""
+        if self._rows is None:
+            den = self.denominator
+            self._rows = tuple(tuple(Fraction(x, den) for x in row) for row in self.numerators)
+        return self._rows
 
     def __getitem__(self, i: int) -> tuple[Rational, ...]:
         return self.rows[i]
@@ -118,35 +144,39 @@ class SquareMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.denominator == other.denominator and self.numerators == other.numerators
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.numerators, self.denominator))
 
     def __repr__(self) -> str:
         return f"SquareMatrix({[list(map(str, row)) for row in self.rows]})"
 
     def __add__(self, other: "SquareMatrix") -> "SquareMatrix":
-        self._check_dim(other)
-        return SquareMatrix(tuple(x + y for x, y in zip(ra, rb))
-                            for ra, rb in zip(self.rows, other.rows))
+        return self._combine(other, add)
 
     def __sub__(self, other: "SquareMatrix") -> "SquareMatrix":
+        return self._combine(other, sub)
+
+    def _combine(self, other: "SquareMatrix", op) -> "SquareMatrix":
         self._check_dim(other)
-        return SquareMatrix(tuple(x - y for x, y in zip(ra, rb))
-                            for ra, rb in zip(self.rows, other.rows))
+        den = lcm(self.denominator, other.denominator)
+        fa = den // self.denominator
+        fb = den // other.denominator
+        return SquareMatrix.from_integers(
+            (tuple(op(x * fa, y * fb) for x, y in zip(ra, rb))
+             for ra, rb in zip(self.numerators, other.numerators)), den)
 
     def __neg__(self) -> "SquareMatrix":
-        return SquareMatrix(tuple(-x for x in row) for row in self.rows)
+        return SquareMatrix.from_integers((tuple(-x for x in row) for row in self.numerators),
+                                          self.denominator)
 
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
         self._check_dim(other)
-        a, da = integer_rows(self.rows)
-        b, db = integer_rows(other.rows)
-        den = da * db
-        cols = tuple(zip(*b))
-        return SquareMatrix(tuple(Fraction(sum(map(mul, row, col)), den) for col in cols)
-                            for row in a)
+        cols = tuple(zip(*other.numerators))
+        return SquareMatrix.from_integers(
+            (tuple(sum(map(mul, row, col)) for col in cols) for row in self.numerators),
+            self.denominator * other.denominator)
 
     def _check_dim(self, other: "SquareMatrix") -> None:
         if self.dim != other.dim:
@@ -154,7 +184,9 @@ class SquareMatrix:
 
     def scale(self, factor: Rational) -> "SquareMatrix":
         f = Fraction(factor)
-        return SquareMatrix(tuple(f * x for x in row) for row in self.rows)
+        return SquareMatrix.from_integers(
+            (tuple(f.numerator * x for x in row) for row in self.numerators),
+            f.denominator * self.denominator)
 
     def power(self, k: int) -> "SquareMatrix":
         """k-th power by repeated exact multiplication; the 0-th power is I."""
@@ -166,26 +198,35 @@ class SquareMatrix:
         return result
 
     def transpose(self) -> "SquareMatrix":
-        return SquareMatrix(zip(*self.rows))
+        return SquareMatrix.from_integers(zip(*self.numerators), self.denominator)
 
     def trace(self) -> Rational:
-        return sum((self.rows[i][i] for i in range(self.dim)), _ZERO)
+        return Fraction(sum(self.numerators[i][i] for i in range(self.dim)), self.denominator)
+
+    def product_trace(self, other: "SquareMatrix") -> Rational:
+        """Tr(self * other) = sum_ij self[i][j] * other[j][i], without forming the product."""
+        self._check_dim(other)
+        total = sum(map(mul, chain.from_iterable(self.numerators),
+                        chain.from_iterable(zip(*other.numerators))))
+        return Fraction(total, self.denominator * other.denominator)
 
     def apply(self, vector: Sequence[Rational]) -> tuple[Rational, ...]:
         if len(vector) != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {len(vector)}")
-        nz = [(j, Fraction(v)) for j, v in enumerate(vector) if v != 0]
-        return tuple(sum((row[j] * v for j, v in nz), _ZERO) for row in self.rows)
+        (vec,), vden = integer_rows([[Fraction(v) for v in vector]])
+        nz = [(j, v) for j, v in enumerate(vec) if v]
+        den = self.denominator * vden
+        return tuple(Fraction(sum(row[j] * v for j, v in nz), den) for row in self.numerators)
 
     def is_antisymmetric(self) -> bool:
-        return all(self.rows[i][j] == -self.rows[j][i]
-                   for i in range(self.dim) for j in range(i, self.dim))
+        num = self.numerators
+        return all(num[i][j] == -num[j][i] for i in range(self.dim) for j in range(i, self.dim))
 
     def determinant(self) -> Rational:
         """Exact determinant via fraction-free Bareiss elimination on the
         integer numerators N over den: det(N / den) = det(N) / den^n."""
-        work, den = integer_rows(self.rows)
-        return Fraction(_bareiss_determinant(work), den ** self.dim)
+        det = _bareiss_determinant([list(row) for row in self.numerators])
+        return Fraction(det, self.denominator ** self.dim)
 
     def char_poly(self) -> Polynomial:
         """Characteristic polynomial det(self - x*I), exact.
@@ -201,8 +242,12 @@ class SquareMatrix:
             ck = -nk.trace() / k
             cs.append(ck)
             if k < n:
-                mk = SquareMatrix(tuple(nk.rows[i][j] + (ck if i == j else 0)
-                                        for j in range(n)) for i in range(n))
+                # mk = nk + ck*I, over the common denominator of nk and ck
+                q = ck.denominator
+                shift = ck.numerator * nk.denominator
+                mk = SquareMatrix.from_integers(
+                    (tuple(x * q + shift if i == j else x * q for j, x in enumerate(row))
+                     for i, row in enumerate(nk.numerators)), nk.denominator * q)
         # det(x*I - A) = x^n + c1 x^(n-1) + ... + cn; flip by (-1)^n for det(A - x*I)
         sign = _ONE if n % 2 == 0 else -_ONE
         coeffs = [_ZERO] * (n + 1)
@@ -225,9 +270,23 @@ class SquareMatrix:
 
 def integer_rows(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int]:
     """(numerators, den) with den > 0 the lcm of all denominators, so that
-    rows[i][j] == numerators[i][j] / den."""
+    rows[i][j] == numerators[i][j] / den. For entries in lowest terms the
+    result is in lowest terms too: each prime of den divides the denominator
+    of some entry to its full power, and that entry's numerator is prime to it."""
     den = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def lowest_terms(rows: tuple[tuple[int, ...], ...], den: int
+                 ) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, den) divided by the gcd of den and every entry, so that equal
+    rational values have equal integer forms; all-zero rows get den 1."""
+    if den <= 0:
+        raise ValueError(f"denominator must be positive, got {den}")
+    g = gcd(den, *chain.from_iterable(rows))
+    if g == 1:
+        return rows, den
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
 
 
 def _bareiss_determinant(a: list[list[int]]) -> int:

@@ -30,11 +30,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .automorphisms import sigma
 from .exact import (ConsistencyError, Polynomial, Rational, SpanSolver,
-                    SquareMatrix, format_rational, integer_rows, kernel_basis_of_rows)
+                    SquareMatrix, format_rational, kernel_basis_of_rows)
 from .so8 import So8Element
 
 _ZERO = Fraction(0)
@@ -115,18 +115,20 @@ def _matchings(points: tuple[int, ...]):
             yield sign_here * sign, [(i0, j)] + pairs
 
 
+@functools.cache
+def _matching_terms() -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    return tuple((sign, tuple(pairs)) for sign, pairs in _matchings(tuple(range(8))))
+
+
 def pfaffian_matchings(m: So8Element) -> Rational:
-    """Pfaffian as the signed sum over the 105 perfect matchings of 8 points."""
+    """Pfaffian as the signed sum over the 105 perfect matchings of 8 points,
+    on the integer numerators N of M = N / den: Pf(M) = Pf(N) / den^4."""
     mat = m.matrix
-    total = _ZERO
-    for sign, pairs in _matchings(tuple(range(8))):
-        term = Fraction(sign)
-        for (i, j) in pairs:
-            term *= mat[i][j]
-            if term == 0:
-                break
-        total += term
-    return total
+    n = mat.numerators
+    total = 0
+    for sign, ((a, b), (c, d), (e, f), (g, h)) in _matching_terms():
+        total += sign * n[a][b] * n[c][d] * n[e][f] * n[g][h]
+    return Fraction(total, mat.denominator ** 4)
 
 
 def _permutation_sign(perm: Sequence[int]) -> int:
@@ -143,20 +145,21 @@ def _s7_terms() -> tuple[tuple[int, tuple[int, ...]], ...]:
 def pfaffian_permutation_sum(m: So8Element) -> Rational:
     """The paper's literal permutation sum: over the 5040 permutations p of
     {1..7}, sign(p) * M[0][p1] M[p2][p3] M[p4][p5] M[p6][p7], prefactor 1/(3! * 2^3)."""
-    rows, den = integer_rows(m.matrix.rows)
+    mat = m.matrix
+    rows = mat.numerators
     total = 0
     for sign, p in _s7_terms():
         total += sign * rows[0][p[0]] * rows[p[1]][p[2]] * rows[p[3]][p[4]] * rows[p[5]][p[6]]
-    return Fraction(total, 48) / den ** 4
+    return Fraction(total, 48 * mat.denominator ** 4)
 
 
 def invariant_vector(m: So8Element) -> InvariantVector:
-    """(Tr M^2, Tr M^4, Tr M^6, Pf M), all exact."""
+    """(Tr M^2, Tr M^4, Tr M^6, Pf M), all exact; Tr M^6 = Tr(M^2 M^4) is
+    summed entrywise, without a third product."""
     mat = m.matrix
     m2 = mat * mat
     m4 = m2 * m2
-    m6 = m4 * m2
-    return InvariantVector(m2.trace(), m4.trace(), m6.trace(), pfaffian_matchings(m))
+    return InvariantVector(m2.trace(), m4.trace(), m2.product_trace(m4), pfaffian_matchings(m))
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +359,23 @@ def derive_c3_coefficients() -> dict:
     }
 
 
-def eigenstructure_check(m: So8Element, tag: str) -> dict:
+def eigenstructure_check(m: So8Element, tag: str, v: Optional[InvariantVector] = None,
+                         e: Optional[SpectralCoefficients] = None) -> dict:
     """Coefficient-level consequences of the eigenvalue pattern claimed for `tag`.
 
     so8: no constraint (reported as generic). so7: two zero eigenvalues force
     e4 = 0 and Pf = 0. g2: additionally the zero-sum eigenvalue triple forces
     e2 = e1^2/4 and Tr(M^4) = Tr(M^2)^2/4, the degree-6 restriction c3 of
-    g2_restriction() equals -e3, and m must be fixed by the order-3 map."""
+    g2_restriction() equals -e3, and m must be fixed by the order-3 map.
+
+    A caller that already holds invariant_vector(m) or
+    spectral_coefficients(m) passes it as v or e instead of recomputing it."""
     if tag not in ("so8", "so7", "g2"):
         raise ValueError(f"unknown tag {tag!r}; expected so8, so7 or g2")
-    v = invariant_vector(m)
-    e = spectral_coefficients(m)
+    if v is None:
+        v = invariant_vector(m)
+    if e is None:
+        e = spectral_coefficients(m)
     constraints: dict[str, bool] = {}
     if tag in ("so7", "g2"):
         constraints["pf_zero"] = v.pf == 0

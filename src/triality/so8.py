@@ -4,7 +4,10 @@ A generator G(i,j) with 0 <= i < j <= 7 sends e_j to e_i, e_i to -e_j and
 kills the other basis vectors, so its matrix has +1 at (i,j) and -1 at (j,i).
 Elements carry a dual representation: a 28-vector of coefficients over the
 generators, and the corresponding 8x8 antisymmetric matrix; the two
-round-trip exactly.
+round-trip exactly. Both are stored as integer numerators over one positive
+denominator in lowest terms (see `exact`), and an element and its matrix
+share the same denominator; the `Fraction` coefficients (`coeffs`) are a
+view built on first read.
 
 The 28 generators split into seven 4-element quadruples
 
@@ -22,13 +25,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, sub
 from typing import Optional, Sequence
 
-from .exact import ConsistencyError, Rational, SquareMatrix, format_rational, parse_rational
+from .exact import (ConsistencyError, Rational, SquareMatrix, format_rational, integer_rows,
+                    lowest_terms, parse_rational)
 from .octonion import _mod7
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 DIMENSION = 28
 
@@ -53,92 +56,125 @@ GENERATORS: tuple[Generator, ...] = tuple(
     Generator(i, j) for i in range(8) for j in range(i + 1, 8)
 )
 GENERATOR_INDEX: dict[Generator, int] = {g: n for n, g in enumerate(GENERATORS)}
+_PAIRS: tuple[tuple[int, int], ...] = tuple((g.i, g.j) for g in GENERATORS)
 
 
 def generator_matrix(g: Generator) -> SquareMatrix:
-    rows = [[_ZERO] * 8 for _ in range(8)]
-    rows[g.i][g.j] = _ONE
-    rows[g.j][g.i] = -_ONE
-    return SquareMatrix(rows)
+    rows = [[0] * 8 for _ in range(8)]
+    rows[g.i][g.j] = 1
+    rows[g.j][g.i] = -1
+    return SquareMatrix.from_integers(rows, 1)
 
 
 class So8Element:
-    """An so(8) element: 28 rational coefficients, with the matrix derived lazily."""
+    """An so(8) element: 28 coefficients stored as integer numerators over one
+    positive denominator in lowest terms; the `Fraction` coefficients and the
+    matrix are derived lazily."""
 
-    __slots__ = ("coeffs", "_matrix")
+    __slots__ = ("numerators", "denominator", "_coeffs", "_matrix")
 
     def __init__(self, coeffs: Sequence[Rational]):
-        frozen = tuple(Fraction(c) for c in coeffs)
-        if len(frozen) != DIMENSION:
-            raise ValueError(f"so(8) elements have {DIMENSION} coefficients, got {len(frozen)}")
-        self.coeffs = frozen
+        (num,), den = integer_rows([[Fraction(c) for c in coeffs]])
+        self._assign(num, den)
+
+    @classmethod
+    def from_integers(cls, numerators: Sequence[int], den: int) -> "So8Element":
+        """The element with coefficients numerators[k] / den, in lowest terms."""
+        element = cls.__new__(cls)
+        element._assign(numerators, den)
+        return element
+
+    def _assign(self, numerators: Sequence[int], den: int) -> None:
+        (num,), den = lowest_terms((tuple(numerators),), den)
+        if len(num) != DIMENSION:
+            raise ValueError(f"so(8) elements have {DIMENSION} coefficients, got {len(num)}")
+        self.numerators: tuple[int, ...] = num
+        self.denominator = den
+        self._coeffs: Optional[tuple[Rational, ...]] = None
         self._matrix: Optional[SquareMatrix] = None
 
     @classmethod
     def zero(cls) -> "So8Element":
-        return cls((_ZERO,) * DIMENSION)
+        return cls.from_integers((0,) * DIMENSION, 1)
 
     @classmethod
     def from_generator(cls, g: Generator) -> "So8Element":
-        coeffs = [_ZERO] * DIMENSION
-        coeffs[GENERATOR_INDEX[g]] = _ONE
-        return cls(coeffs)
+        num = [0] * DIMENSION
+        num[GENERATOR_INDEX[g]] = 1
+        return cls.from_integers(num, 1)
 
     @classmethod
     def from_matrix(cls, m: SquareMatrix) -> "So8Element":
         if m.dim != 8:
             raise ValueError(f"so(8) matrices are 8x8, got dim {m.dim}")
+        num = m.numerators
         for i in range(8):
             for j in range(i, 8):
-                if m[i][j] != -m[j][i]:
+                if num[i][j] != -num[j][i]:
                     raise ValueError(
                         f"matrix is not antisymmetric: entry ({i},{j}) = "
                         f"{format_rational(m[i][j])} but entry ({j},{i}) = "
                         f"{format_rational(m[j][i])}")
-        element = cls([m[g.i][g.j] for g in GENERATORS])
+        element = cls.from_integers([num[i][j] for i, j in _PAIRS], m.denominator)
         element._matrix = m
         return element
 
     @property
+    def coeffs(self) -> tuple[Rational, ...]:
+        """The coefficients as `Fraction`s, built on first read."""
+        if self._coeffs is None:
+            den = self.denominator
+            self._coeffs = tuple(Fraction(c, den) for c in self.numerators)
+        return self._coeffs
+
+    @property
     def matrix(self) -> SquareMatrix:
         if self._matrix is None:
-            rows = [[_ZERO] * 8 for _ in range(8)]
-            for g, c in zip(GENERATORS, self.coeffs):
-                rows[g.i][g.j] = c
-                rows[g.j][g.i] = -c
-            self._matrix = SquareMatrix(rows)
+            rows = [[0] * 8 for _ in range(8)]
+            for (i, j), c in zip(_PAIRS, self.numerators):
+                rows[i][j] = c
+                rows[j][i] = -c
+            self._matrix = SquareMatrix.from_integers(rows, self.denominator)
         return self._matrix
 
     def coefficient(self, g: Generator) -> Rational:
         return self.coeffs[GENERATOR_INDEX[g]]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.numerators)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, So8Element):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.denominator == other.denominator and self.numerators == other.numerators
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.numerators, self.denominator))
 
     def __repr__(self) -> str:
         terms = [f"{c}*{g.label}" for g, c in zip(GENERATORS, self.coeffs) if c != 0]
         return "So8Element(" + (" + ".join(terms) if terms else "0") + ")"
 
     def __add__(self, other: "So8Element") -> "So8Element":
-        return So8Element(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, add)
 
     def __sub__(self, other: "So8Element") -> "So8Element":
-        return So8Element(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, sub)
+
+    def _combine(self, other: "So8Element", op) -> "So8Element":
+        den = lcm(self.denominator, other.denominator)
+        fa = den // self.denominator
+        fb = den // other.denominator
+        return So8Element.from_integers(
+            [op(a * fa, b * fb) for a, b in zip(self.numerators, other.numerators)], den)
 
     def __neg__(self) -> "So8Element":
-        return So8Element(tuple(-a for a in self.coeffs))
+        return So8Element.from_integers([-a for a in self.numerators], self.denominator)
 
     def scale(self, factor: Rational) -> "So8Element":
         f = Fraction(factor)
-        return So8Element(tuple(f * a for a in self.coeffs))
+        return So8Element.from_integers([f.numerator * a for a in self.numerators],
+                                        f.denominator * self.denominator)
 
     def to_json(self, encoding: str = "both") -> dict:
         out: dict = {}
@@ -233,5 +269,5 @@ def random_element(seed: int, bound: int = 9) -> So8Element:
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     rng = random.Random(seed)
-    return So8Element([Fraction(rng.randint(-bound, bound)) for _ in range(DIMENSION)])
+    return So8Element.from_integers([rng.randint(-bound, bound) for _ in range(DIMENSION)], 1)
 

@@ -42,6 +42,9 @@ def build_report(cfg: RunConfig) -> list[dict]:
     # the generic samples m_k = random_element(seed + k, bound) are drawn and
     # evaluated once, on first use, for every check that reads them
     samples = functools.cache(lambda: _generic_samples(cfg, tmap))
+    # likewise the g2 locus samples, for g2_locus and the trace-ratio check
+    g2_samples = functools.cache(
+        lambda: _locus_samples(cfg, automorphisms.g2_fixed_subalgebra(), "g2"))
     checks: list[tuple[str, str, Callable[[], dict]]] = []
 
     def add(suite, check_id, fn):
@@ -75,12 +78,11 @@ def build_report(cfg: RunConfig) -> list[dict]:
         lambda: _check_pfaffian(cfg))
     add("invariants", "invariants.newton_oracle",
         lambda: _check_newton(samples()))
-    add("invariants", "invariants.g2_locus",
-        lambda: _check_locus(cfg, automorphisms.g2_fixed_subalgebra(), "g2"))
+    add("invariants", "invariants.g2_locus", lambda: _check_locus(g2_samples()))
     add("invariants", "invariants.so7_locus",
-        lambda: _check_locus(cfg, automorphisms.so7_fixed_subalgebra(), "so7"))
+        lambda: _check_locus(_locus_samples(cfg, automorphisms.so7_fixed_subalgebra(), "so7")))
     add("invariants", "invariants.generic_eigenstructure",
-        lambda: _check_generic_eigenstructure(cfg))
+        lambda: _check_generic_eigenstructure(cfg, samples()))
     add("invariants", "invariants.c3_model", _check_c3_model)
     add("invariants", "invariants.eta4_coefficient_discrepancy",
         lambda: _check_eta_discrepancy("e2", invariants.candidate_eta4_coefficient,
@@ -92,7 +94,7 @@ def build_report(cfg: RunConfig) -> list[dict]:
     add("invariants", "invariants.c3_coefficient_discrepancy",
         _check_c3_discrepancy)
     add("invariants", "invariants.g2_trace_ratio_discrepancy",
-        lambda: _check_trace_ratio_discrepancy(cfg))
+        lambda: _check_trace_ratio_discrepancy(g2_samples()[:20]))
 
     entries = []
     for suite, check_id, fn in checks:
@@ -454,20 +456,38 @@ def _check_newton(samples: list[_Sample]) -> dict:
     return _sampled(len(samples), witness)
 
 
-def _check_locus(cfg: RunConfig, sub: automorphisms.FixedSubalgebra, tag: str) -> dict:
+class _LocusSample(NamedTuple):
+    """One locus sample m: its invariants and its eigenstructure check."""
+
+    v: invariants.InvariantVector
+    check: dict
+
+
+def _locus_samples(cfg: RunConfig, sub: automorphisms.FixedSubalgebra,
+                   tag: str) -> list[_LocusSample]:
+    out = []
+    for k in range(min(cfg.samples, 50)):
+        m = sub.random_element(cfg.seed + k, cfg.bound)
+        v = invariants.invariant_vector(m)
+        out.append(_LocusSample(v, invariants.eigenstructure_check(m, tag, v)))
+    return out
+
+
+def _check_locus(samples: list[_LocusSample]) -> dict:
     def witness(k):
-        check = invariants.eigenstructure_check(
-            sub.random_element(cfg.seed + k, cfg.bound), tag)
+        check = samples[k].check
         if check["status"] != "pass":
             return {"sample": k, "eigenstructure": check}
         return None
 
-    return _sampled(min(cfg.samples, 50), witness)
+    return _sampled(len(samples), witness)
 
 
-def _check_generic_eigenstructure(cfg: RunConfig) -> dict:
+def _check_generic_eigenstructure(cfg: RunConfig, samples: list[_Sample]) -> dict:
+    # m_0 = random_element(seed, bound) is the first generic sample
     m = so8.random_element(cfg.seed, cfg.bound)
-    check = invariants.eigenstructure_check(m, "so8")
+    known = (samples[0].v, samples[0].e) if samples else (None, None)
+    check = invariants.eigenstructure_check(m, "so8", *known)
     return {"status": "pass" if check["status"] == "generic" else "fail",
             "reported": check["status"]}
 
@@ -536,15 +556,13 @@ def _check_c3_discrepancy() -> dict:
     }
 
 
-def _check_trace_ratio_discrepancy(cfg: RunConfig) -> dict:
+def _check_trace_ratio_discrepancy(samples: list[_LocusSample]) -> dict:
     """On the order-3 fixed locus Tr(M^4) = Tr(M^2)^2/4; the ratio 1/2 is a
     rejected candidate, shown wrong on a concrete locus element."""
-    sub = automorphisms.g2_fixed_subalgebra()
     witness = None
     quarter_holds = True
-    for k in range(min(cfg.samples, 20)):
-        m = sub.random_element(cfg.seed + k, cfg.bound)
-        v = invariants.invariant_vector(m)
+    for k, sample in enumerate(samples):
+        v = sample.v
         if 4 * v.p2 != v.p1 ** 2:
             quarter_holds = False
         if witness is None and v.p1 != 0 and 2 * v.p2 != v.p1 ** 2:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -265,3 +266,64 @@ class TestIntegerForm:
     def test_permutation_sum_pfaffian_matches_matchings(self, coeffs):
         m = So8Element(coeffs)
         assert pfaffian_permutation_sum(m) == pfaffian_matchings(m)
+
+
+def _is_canonical(m: SquareMatrix) -> bool:
+    """Positive denominator and gcd(den, all numerators) == 1; the zero
+    matrix therefore has denominator 1."""
+    flat = [x for row in m.numerators for x in row]
+    return m.denominator > 0 and math.gcd(m.denominator, *flat) == 1
+
+
+def _entrywise(a, b, op):
+    return [[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
+
+
+class TestCanonicalForm:
+    """A matrix is stored as integer numerators over one positive
+    denominator in lowest terms, so equal values have equal representations;
+    every operation must leave its result in that form."""
+
+    def test_from_integers_is_canonical(self):
+        half = SquareMatrix([[Fraction(1, 2)]])
+        for same in (SquareMatrix([[Fraction(2, 4)]]), SquareMatrix([["3/6"]]),
+                     SquareMatrix.from_integers([[2]], 4), SquareMatrix.from_integers([[3]], 6)):
+            assert same == half
+            assert hash(same) == hash(half)
+            assert same.numerators == ((1,),) and same.denominator == 2
+        zero = SquareMatrix.from_integers([[0, 0], [0, 0]], 12)
+        assert zero.denominator == 1
+        assert zero == SquareMatrix.zero(2) and hash(zero) == hash(SquareMatrix.zero(2))
+        for den in (0, -2):
+            with pytest.raises(ValueError):
+                SquareMatrix.from_integers([[1]], den)
+
+    @given(mats=square_matrices(count=2), factor=entries)
+    def test_operations_match_entrywise_fractions(self, mats, factor):
+        a, b = mats
+        n = a.dim
+        vector = [a[0][j] for j in range(n)]
+        cases = [
+            (a + b, _entrywise(a, b, lambda x, y: x + y)),
+            (a - b, _entrywise(a, b, lambda x, y: x - y)),
+            (a - a, [[Fraction(0)] * n for _ in range(n)]),
+            (-a, [[-x for x in row] for row in a.rows]),
+            (a * b, [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
+                      for j in range(n)] for i in range(n)]),
+            (a.scale(factor), [[factor * x for x in row] for row in a.rows]),
+            (a.scale(0), [[Fraction(0)] * n for _ in range(n)]),
+            (a.transpose(), [[a[j][i] for j in range(n)] for i in range(n)]),
+        ]
+        for got, expected in cases:
+            assert _is_canonical(got)
+            assert got.rows == tuple(tuple(row) for row in expected)
+            assert all(type(x) is Fraction for row in got.rows for x in row)
+            # built from the Fraction entries, the same value has the same form
+            same = SquareMatrix(expected)
+            assert got == same and hash(got) == hash(same)
+            assert (got.numerators, got.denominator) == (same.numerators, same.denominator)
+        assert a.trace() == sum((a[i][i] for i in range(n)), Fraction(0))
+        assert a.product_trace(b) == sum((a[i][j] * b[j][i] for i in range(n)
+                                          for j in range(n)), Fraction(0))
+        assert a.apply(vector) == tuple(sum((a[i][j] * vector[j] for j in range(n)), Fraction(0))
+                                        for i in range(n))

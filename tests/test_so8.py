@@ -1,9 +1,13 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from triality import SquareMatrix
+from triality.automorphisms import TrialityMap, sigma
 from triality.so8 import (DIMENSION, GENERATORS, Generator, So8Element, bracket,
                           generator_matrix, quadruples, random_element)
 
@@ -173,3 +177,68 @@ class TestSerialization:
             So8Element.from_json({"coeffs": ["1"] * 27})
         with pytest.raises(ValueError):
             So8Element.from_json({"matrix": [["0"] * 7] * 8})
+
+
+coefficients = st.lists(
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 3))
+    | st.just(Fraction(0)), min_size=DIMENSION, max_size=DIMENSION)
+
+
+def _is_canonical(x) -> bool:
+    """Positive denominator and gcd(den, all numerators) == 1."""
+    return x.denominator > 0 and math.gcd(x.denominator, *x.numerators) == 1
+
+
+def _assert_same_value(got: So8Element, expected) -> None:
+    """got holds exactly the Fraction coefficients `expected`, in the one
+    canonical integer form that So8Element(expected) also has."""
+    assert _is_canonical(got)
+    assert got.coeffs == tuple(expected)
+    assert all(type(c) is Fraction for c in got.coeffs)
+    same = So8Element(expected)
+    assert got == same and hash(got) == hash(same)
+    assert (got.numerators, got.denominator) == (same.numerators, same.denominator)
+
+
+class TestIntegerForm:
+    """Elements are stored as 28 integer numerators over one positive
+    denominator in lowest terms; every operation must keep that form."""
+
+    def test_zero_has_denominator_one(self):
+        x = So8Element([Fraction(k + 1, 6) for k in range(DIMENSION)])
+        for zero in (So8Element.zero(), x - x, x.scale(0),
+                     So8Element.from_integers([0] * DIMENSION, 6)):
+            assert zero.denominator == 1 and zero.is_zero()
+            assert zero == So8Element.zero() and hash(zero) == hash(So8Element.zero())
+
+    @given(coeffs=coefficients, k=st.integers(2, 10 ** 3))
+    def test_scale_roundtrip_compares_and_hashes_equal(self, coeffs, k):
+        x = So8Element(coeffs)
+        for factor in (k, -k):
+            back = x.scale(factor).scale(Fraction(1, factor))
+            assert back == x and hash(back) == hash(x)
+            assert (back.numerators, back.denominator) == (x.numerators, x.denominator)
+
+    @given(a=coefficients, b=coefficients, factor=coefficients.map(lambda c: c[0]))
+    def test_operations_match_entrywise_fractions(self, a, b, factor):
+        x, y = So8Element(a), So8Element(b)
+        _assert_same_value(x + y, [p + q for p, q in zip(a, b)])
+        _assert_same_value(x - y, [p - q for p, q in zip(a, b)])
+        _assert_same_value(x - x, [Fraction(0)] * DIMENSION)
+        _assert_same_value(-x, [-p for p in a])
+        _assert_same_value(x.scale(factor), [factor * p for p in a])
+        m = x.matrix
+        assert m.is_antisymmetric()
+        assert math.gcd(m.denominator, *(c for row in m.numerators for c in row)) == 1
+        for g, c in zip(GENERATORS, a):
+            assert m[g.i][g.j] == c and m[g.j][g.i] == -c
+        assert So8Element.from_matrix(m) == x
+
+    @settings(max_examples=40)
+    @example(coeffs=[Fraction(2)] * DIMENSION)
+    @given(coeffs=coefficients)
+    def test_sigma_matches_dense_fraction_product(self, coeffs):
+        full = TrialityMap.standard().full.rows
+        expected = [sum((full[i][j] * coeffs[j] for j in range(DIMENSION)), Fraction(0))
+                    for i in range(DIMENSION)]
+        _assert_same_value(sigma(So8Element(coeffs)), expected)
