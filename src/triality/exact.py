@@ -7,13 +7,15 @@ kept in lowest terms (the gcd of the denominator and all numerators is 1,
 so the zero matrix has denominator 1). Equal matrices therefore have equal
 representations, and `==` and `hash` compare integers. `integer_rows`
 writes rational input in that form; products, sums, scaling, transposes,
-traces, fraction-free Bareiss determinants and the Faddeev-LeVerrier steps
-of characteristic polynomials run on the integers, and `lowest_terms`
-reduces each result once. The `Fraction` entries (`rows`, indexing) are a
-view built on first read. Null spaces come from exact reduced row echelon
-form on `Fraction`s. All results are exact, which is what the rest of the
-toolkit relies on: every downstream check is an identity, never a
-tolerance.
+traces and the Faddeev-LeVerrier steps of characteristic polynomials run on
+the integers, and `lowest_terms` reduces each result once. The `Fraction`
+entries (`rows`, indexing) are a view built on first read.
+
+One fraction-free Gauss-Jordan elimination on integer rows, `rref`, serves
+every elimination: determinants, kernels, ranks and `SpanSolver`'s span
+membership and coordinates. Its results become `Fraction`s only at the API.
+All results are exact, which is what the rest of the toolkit relies on:
+every downstream check is an identity, never a tolerance.
 """
 
 from __future__ import annotations
@@ -223,9 +225,10 @@ class SquareMatrix:
         return all(num[i][j] == -num[j][i] for i in range(self.dim) for j in range(i, self.dim))
 
     def determinant(self) -> Rational:
-        """Exact determinant via fraction-free Bareiss elimination on the
-        integer numerators N over den: det(N / den) = det(N) / den^n."""
-        det = _bareiss_determinant([list(row) for row in self.numerators])
+        """Exact determinant via fraction-free elimination of the integer
+        numerators N over den: det(N / den) = det(N) / den^n."""
+        _, pivots, d, sign = rref(list(self.numerators))
+        det = sign * d if len(pivots) == self.dim else 0
         return Fraction(det, self.denominator ** self.dim)
 
     def char_poly(self) -> Polynomial:
@@ -258,7 +261,7 @@ class SquareMatrix:
 
     def kernel_basis(self) -> list[tuple[Rational, ...]]:
         """Basis of the exact null space; empty list iff the matrix is invertible."""
-        return kernel_basis_of_rows([list(row) for row in self.rows], self.dim)
+        return kernel_basis_of_rows(self.numerators, self.dim)
 
     def to_json(self) -> list[list[str]]:
         return [[format_rational(x) for x in row] for row in self.rows]
@@ -289,74 +292,52 @@ def lowest_terms(rows: tuple[tuple[int, ...], ...], den: int
     return tuple(tuple(x // g for x in row) for row in rows), den // g
 
 
-def _bareiss_determinant(a: list[list[int]]) -> int:
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            row_k = a[k]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+def rref(rows: list[Sequence[int]]) -> tuple[list[Sequence[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows, in place.
 
-
-def rref(rows: list[list[Rational]]) -> tuple[list[list[Rational]], list[int]]:
-    """Reduced row echelon form (in place on the given copy) and pivot columns."""
+    Returns (rows, pivots, d, sign): the first len(pivots) rows are d times
+    the reduced row echelon form and the other rows are zero; d is the last
+    pivot (1 when there is none) and sign the parity of the row swaps, so a
+    square matrix of full rank has determinant sign * d. Each step replaces
+    every other row by (row * pivot - f * lead) // prev; after it, every
+    entry is a minor of the input, so the division is exact (Bareiss, Math.
+    Comp. 22, 1968).
+    """
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
     pivots: list[int] = []
+    prev = sign = 1
     r = 0
     for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, n_rows) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = _ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
         lead = rows[r]
+        piv = lead[c]
         for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
+            if i != r:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
+                rows[i] = [(x * piv - f * y) // prev for x, y in zip(rows[i], lead)]
+        prev = piv
         pivots.append(c)
         r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
+    return rows, pivots, prev, sign
 
 
-def kernel_basis_of_rows(rows: list[list[Rational]], n_cols: int) -> list[tuple[Rational, ...]]:
-    """Kernel basis of the linear map given by `rows`, one vector per free column."""
-    reduced, pivots = rref([list(r) for r in rows])
-    pivot_set = set(pivots)
+def kernel_basis_of_rows(rows: Sequence[Sequence[Rational]],
+                         n_cols: int) -> list[tuple[Rational, ...]]:
+    """Kernel basis of the linear map given by `rows`, one vector per free
+    column, with a 1 in that column."""
+    reduced, pivots, d, _ = rref(integer_rows(rows)[0])
     basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
+    for free in sorted(set(range(n_cols)) - set(pivots)):
         v = [_ZERO] * n_cols
         v[free] = _ONE
         for r, c in enumerate(pivots):
-            v[c] = -reduced[r][free]
+            v[c] = Fraction(-reduced[r][free], d)
         basis.append(tuple(v))
     return basis
 
@@ -377,42 +358,39 @@ def primitive_integer_vector(vector: Sequence[Rational]) -> tuple[Rational, ...]
 class SpanSolver:
     """Expresses vectors in the span of a fixed independent family, exactly.
 
-    Precomputes a left inverse of the column matrix once, so repeated
+    Eliminates [columns | I] once, on integers: the first dim rows of the
+    identity part are a scaled left inverse of the column matrix, and the
+    remaining rows an annihilator whose kernel is exactly the span. Repeated
     membership queries (bracket-closure checks, adjoint representations)
-    cost one small matrix-vector product each.
+    then cost two sparse integer products each.
     """
 
     def __init__(self, columns: Sequence[Sequence[Rational]]):
         if not columns:
             raise ValueError("need at least one column")
-        self.columns = [tuple(Fraction(x) for x in col) for col in columns]
-        self.n_rows = len(self.columns[0])
-        d = len(self.columns)
-        if any(len(col) != self.n_rows for col in self.columns):
+        self.n_rows = len(columns[0])
+        if any(len(col) != self.n_rows for col in columns):
             raise ValueError("columns must have equal length")
-        aug = [[self.columns[c][r] for c in range(d)]
-               + [_ONE if k == r else _ZERO for k in range(self.n_rows)]
+        self.dim = d = len(columns)
+        cols, self._den = integer_rows([[Fraction(x) for x in col] for col in columns])
+        aug = [[col[r] for col in cols] + [1 if k == r else 0 for k in range(self.n_rows)]
                for r in range(self.n_rows)]
-        reduced, pivots = rref(aug)
+        reduced, pivots, self._scale, _ = rref(aug)
         if pivots[:d] != list(range(d)):
             raise ValueError("columns are linearly dependent")
-        # rows 0..d-1 of the elimination record form a left inverse
-        self._left_inverse = [tuple(reduced[r][d:]) for r in range(d)]
-
-    @property
-    def dim(self) -> int:
-        return len(self.columns)
+        # with cols = den * columns: left_inverse * cols = scale * I and
+        # annihilator * cols = 0, the annihilator having full row rank
+        self._left_inverse = [row[d:] for row in reduced[:d]]
+        self._annihilator = [row[d:] for row in reduced[d:]]
 
     def coords(self, vector: Sequence[Rational]) -> Optional[tuple[Rational, ...]]:
         """Coordinates of `vector` in the span, or None if it lies outside."""
         if len(vector) != self.n_rows:
             raise ValueError("dimension mismatch")
-        vec = [Fraction(x) for x in vector]
-        nz = [(j, v) for j, v in enumerate(vec) if v != 0]
-        x = tuple(sum((row[j] * v for j, v in nz), _ZERO) for row in self._left_inverse)
-        for r in range(self.n_rows):
-            recon = sum((self.columns[c][r] * x[c] for c in range(len(x)) if x[c] != 0),
-                        _ZERO)
-            if recon != vec[r]:
-                return None
-        return x
+        (vec,), vden = integer_rows([[Fraction(x) for x in vector]])
+        nz = [(j, v) for j, v in enumerate(vec) if v]
+        if any(sum(row[j] * v for j, v in nz) for row in self._annihilator):
+            return None
+        den = self._scale * vden
+        return tuple(Fraction(self._den * sum(row[j] * v for j, v in nz), den)
+                     for row in self._left_inverse)

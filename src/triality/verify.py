@@ -320,8 +320,8 @@ def _check_trace_form(tmap: automorphisms.TrialityMap) -> dict:
     images = [tmap.apply(e) for e in elems]
     for a in range(28):
         for b in range(28):
-            before = (elems[a].matrix * elems[b].matrix).trace()
-            after = (images[a].matrix * images[b].matrix).trace()
+            before = elems[a].matrix.product_trace(elems[b].matrix)
+            after = images[a].matrix.product_trace(images[b].matrix)
             if before != after:
                 return {"status": "fail",
                         "counterexample": {"pair": [so8.GENERATORS[a].label,

@@ -9,7 +9,7 @@ from triality.automorphisms import (ORDER3_BLOCK, FixedSubalgebra, TrialityMap,
                                     killing_form, outer_involution, sigma,
                                     so7_fixed_subalgebra,
                                     verify_bracket_preservation)
-from triality.exact import ConsistencyError, kernel_basis_of_rows, rref
+from triality.exact import ConsistencyError, integer_rows, kernel_basis_of_rows, rref
 from triality.so8 import GENERATORS, Generator, So8Element, bracket, random_element
 
 HALF = Fraction(1, 2)
@@ -26,7 +26,7 @@ def conjugated(x: So8Element) -> So8Element:
 def span_intersection_dimension(a: FixedSubalgebra, b: FixedSubalgebra) -> int:
     """dim(span A intersect span B) = dim A + dim B - rank [A B]."""
     columns = [x.coeffs for x in a.basis] + [y.coeffs for y in b.basis]
-    _, pivots = rref([list(col) for col in zip(*columns)])
+    _, pivots, _, _ = rref(integer_rows([list(col) for col in zip(*columns)])[0])
     return a.dim + b.dim - len(pivots)
 
 

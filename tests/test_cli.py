@@ -114,6 +114,24 @@ class TestEvalCommand:
         path.write_text(json.dumps(obj))
         assert main(["eval", "--input", str(path)]) == 1
 
+    @pytest.mark.parametrize("entry", ["2/4", 3, "1e3", "1.5", " 5 "],
+                             ids=["not_lowest_terms", "json_number", "exponent",
+                                  "decimal", "padded"])
+    @pytest.mark.parametrize("field", ["coeffs", "matrix"])
+    def test_non_canonical_rational_exits_one(self, tmp_path, capsys, field, entry):
+        if field == "coeffs":
+            obj = {"coeffs": [entry] + ["0"] * 27}
+        else:
+            rows = [["0"] * 8 for _ in range(8)]
+            rows[0][1] = entry
+            obj = {"matrix": rows}
+        path = tmp_path / "noncanonical.json"
+        path.write_text(json.dumps(obj))
+        for command in ("eval", "sigma"):
+            assert main([command, "--input", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert f"invalid element in {path}: {entry!r}" in err
+
 
 class TestSigmaCommand:
     def test_power_three_is_identity(self, tmp_path, capsys):

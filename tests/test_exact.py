@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triality.exact import (Polynomial, SpanSolver, SquareMatrix, format_rational,
@@ -206,6 +206,85 @@ class TestSpanSolver:
     def test_dependent_columns_rejected(self):
         with pytest.raises(ValueError):
             SpanSolver([(1, 2), (2, 4)])
+
+
+def _fraction_rank(rows):
+    """Rank by Gaussian elimination on Fraction entries, the definition the
+    integer elimination is checked against."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def low_rank_products(draw):
+    """An m x n product L * R with an inner dimension k < n, so rank <= k < n."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    k = draw(st.integers(1, n - 1))
+    left = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
+    return [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0)) for j in range(n)]
+            for i in range(m)]
+
+
+@st.composite
+def span_problems(draw):
+    """d < n independent columns of length n with non-integer entries, and
+    rational coefficients for a combination of them."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(1, n - 1))
+    cols = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=d, max_size=d))
+    assume(any(x.denominator > 1 for col in cols for x in col))
+    assume(_fraction_rank(cols) == d)
+    return cols, draw(st.lists(entries, min_size=d, max_size=d))
+
+
+class TestIntegerElimination:
+    """Kernels and span membership come from one fraction-free elimination on
+    integers; each is checked against the Fraction definition."""
+
+    @given(rows=low_rank_products())
+    def test_kernel_of_rank_deficient_rows(self, rows):
+        n = len(rows[0])
+        basis = kernel_basis_of_rows(rows, n)
+        assert len(basis) + _fraction_rank(rows) == n
+        for v in basis:
+            assert all(sum((x * y for x, y in zip(row, v)), Fraction(0)) == 0 for row in rows)
+        # one vector per free column, ending in a 1 there: triangular, so independent
+        last = [max(j for j, x in enumerate(v) if x != 0) for v in basis]
+        assert len(set(last)) == len(basis)
+        assert all(v[j] == 1 for v, j in zip(basis, last))
+
+    @given(problem=span_problems())
+    def test_span_solver_on_rational_columns(self, problem):
+        cols, coeffs = problem
+        n, d = len(cols[0]), len(cols)
+        solver = SpanSolver(cols)
+        assert solver.dim == d
+        combo = [sum((c * col[r] for c, col in zip(coeffs, cols)), Fraction(0))
+                 for r in range(n)]
+        assert solver.coords(combo) == tuple(coeffs)
+        outside = 0
+        for j in range(n):
+            shifted = list(combo)
+            shifted[j] += 1
+            if _fraction_rank(cols + [shifted]) > d:
+                outside += 1
+                assert solver.coords(shifted) is None
+            else:
+                x = solver.coords(shifted)
+                assert [sum((c * col[r] for c, col in zip(x, cols)), Fraction(0))
+                         for r in range(n)] == shifted
+        assert outside > 0
 
 
 class TestPrimitiveVector:
