@@ -10,6 +10,7 @@ invalid input data, 2 usage error (bad flags, unreadable file, malformed JSON).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -40,7 +41,10 @@ def _int_at_least(minimum: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call of
+    `main` in the process (parsing keeps no state between calls)."""
     parser = argparse.ArgumentParser(
         prog="triality",
         description="Exact verification toolkit for the order-3 symmetry of so(8).")
@@ -222,8 +226,7 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code, payload, lines = _DISPATCH[args.command](args)
     except _UsageError as exc:

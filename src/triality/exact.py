@@ -20,6 +20,7 @@ every downstream check is an identity, never a tolerance.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -42,11 +43,26 @@ def format_rational(value: Rational) -> str:
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse "p/q" or "p"; raises ValueError on anything else."""
+    """Parse "p/q" or "p" leniently, as `Fraction` does: unreduced fractions,
+    surrounding spaces and decimals are accepted. Raises ValueError on
+    anything else. JSON input goes through the strict `read_rational`."""
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
+
+
+_RATIONAL_STRING = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def read_rational(value: object) -> Rational:
+    """A JSON input entry: a string "p/q" or "p" of ASCII digits with q > 0 and
+    gcd(p, q) == 1. JSON numbers, spaces, decimals and exponents raise ValueError."""
+    match = _RATIONAL_STRING.fullmatch(value) if isinstance(value, str) else None
+    p, q = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
+    if q == 0 or gcd(p, q) != 1:
+        raise ValueError(f'{value!r} is not a rational string "p/q" or "p" in lowest terms')
+    return Fraction(p, q)
 
 
 class Polynomial:
@@ -268,7 +284,7 @@ class SquareMatrix:
 
     @classmethod
     def from_json(cls, rows: Sequence[Sequence[str]]) -> "SquareMatrix":
-        return cls([[parse_rational(x) for x in row] for row in rows])
+        return cls([[read_rational(x) for x in row] for row in rows])
 
 
 def integer_rows(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int]:

@@ -17,6 +17,13 @@ the power sums q_k = (-1)^k * Tr(M^(2k)) / 2:
 and e4 = Pf(M)^2. The Pfaffian sign is pinned by the perfect-matching sum:
 Pf(B(l1..l4)) = l1*l2*l3*l4, positive on the all-ones block model.
 
+`spectral_coefficients` reads the same e_j off the principal minors instead:
+e_j is the sum of the principal 2j x 2j minors of M, and by Cayley's identity
+each of them is the square of the Pfaffian of its principal submatrix. So
+e1..e3 come from the 28 + 70 + 28 principal sub-Pfaffians and e4 = det(M)
+from Bareiss elimination, independently of the trace powers and of the
+105-matching Pfaffian that Newton's identities use.
+
 Two closed-form coefficient sets that fail this derivation are kept below as
 explicit rejected candidates (for the x^4 and x^2 coefficients in terms of
 traces, and for the degree-6 restriction polynomial); the verification
@@ -33,8 +40,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .automorphisms import sigma
-from .exact import (ConsistencyError, Polynomial, Rational, SpanSolver,
-                    SquareMatrix, format_rational, kernel_basis_of_rows)
+from .exact import (ConsistencyError, Rational, SpanSolver, SquareMatrix, format_rational,
+                    kernel_basis_of_rows)
 from .so8 import So8Element
 
 _ZERO = Fraction(0)
@@ -95,7 +102,8 @@ def canonical_block_element(lams: Sequence[Rational]) -> So8Element:
 
 
 # ---------------------------------------------------------------------------
-# Pfaffian, two ways (Pf^2 = det is the third, independent oracle)
+# Pfaffian, two ways. Pf^2 = det is the third, independent oracle; that
+# Bareiss determinant is also e4 in spectral_coefficients below.
 # ---------------------------------------------------------------------------
 
 def _matchings(points: tuple[int, ...]):
@@ -163,22 +171,41 @@ def invariant_vector(m: So8Element) -> InvariantVector:
 
 
 # ---------------------------------------------------------------------------
-# Spectral coefficients and Newton's identities
+# Spectral coefficients from principal sub-Pfaffians, and Newton's identities
 # ---------------------------------------------------------------------------
 
-def spectral_coefficients(m: So8Element) -> SpectralCoefficients:
-    """Read e1..e4 off the characteristic polynomial det(M - x*I).
+@functools.cache
+def _sub_pfaffian_expansions() -> tuple[tuple[tuple[tuple[int, int, int, int], ...], ...], ...]:
+    """For j = 1, 2, 3, one entry per 2j-subset S of {0..7} in lexicographic
+    order: the expansion of Pf(S) along its first point s0, as the terms
+    (sign, s0, s, rest) of sign * M[s0][s] * Pf(S minus {s0, s}), where rest
+    indexes the (2j-2)-subset in the level before (the empty set has Pf 1).
+    The signs are those of `_matchings`, which recurses the same way."""
+    levels = []
+    previous = {(): 0}
+    for j in (1, 2, 3):
+        subsets = list(itertools.combinations(range(8), 2 * j))
+        levels.append(tuple(
+            tuple((1 if t % 2 == 1 else -1, s[0], s[t], previous[s[1:t] + s[t + 1:]])
+                  for t in range(1, 2 * j))
+            for s in subsets))
+        previous = {s: k for k, s in enumerate(subsets)}
+    return tuple(levels)
 
-    For antisymmetric M the polynomial is even; the odd coefficients are
-    asserted to vanish as an internal sanity check."""
-    cp: Polynomial = m.matrix.char_poly()
-    for odd in (1, 3, 5, 7):
-        if cp.coefficient(odd) != 0:
-            raise ConsistencyError("characteristic polynomial has an odd term")
-    if cp.coefficient(8) != 1:
-        raise ConsistencyError("characteristic polynomial is not monic in degree 8")
-    return SpectralCoefficients(cp.coefficient(6), cp.coefficient(4),
-                                cp.coefficient(2), cp.coefficient(0))
+
+def spectral_coefficients(m: So8Element) -> SpectralCoefficients:
+    """e1..e4 as sums of principal minors, on the integer numerators N of
+    M = N / den: e_j = sum over 2j-subsets S of Pf(N_S)^2 / den^(2j) for
+    j = 1, 2, 3, and e4 = det(M) by Bareiss elimination."""
+    mat = m.matrix
+    n = mat.numerators
+    pfs = [1]
+    coeffs = []
+    for j, expansions in enumerate(_sub_pfaffian_expansions(), start=1):
+        pfs = [sum(sign * n[a][b] * pfs[rest] for sign, a, b, rest in terms)
+               for terms in expansions]
+        coeffs.append(Fraction(sum(pf * pf for pf in pfs), mat.denominator ** (2 * j)))
+    return SpectralCoefficients(*coeffs, mat.determinant())
 
 
 def newton_coefficients(v: InvariantVector) -> SpectralCoefficients:

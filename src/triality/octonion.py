@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import ConsistencyError, Rational, SquareMatrix, format_rational, parse_rational
+from .exact import ConsistencyError, Rational, SquareMatrix, format_rational, read_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -173,7 +173,7 @@ class Octonion:
 
     @classmethod
     def from_json(cls, values: Sequence[str]) -> "Octonion":
-        return cls([parse_rational(v) for v in values])
+        return cls([read_rational(v) for v in values])
 
 
 def inner_product(x: Octonion, y: Octonion) -> Rational:

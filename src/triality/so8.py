@@ -23,15 +23,14 @@ this is verified when the table is first built and a failure raises.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import add, sub
 from typing import Optional, Sequence
 
 from .exact import (ConsistencyError, Rational, SquareMatrix, format_rational, integer_rows,
-                    lowest_terms)
+                    lowest_terms, read_rational)
 from .octonion import _mod7
 
 DIMENSION = 28
@@ -198,14 +197,14 @@ class So8Element:
             values = obj["coeffs"]
             if not isinstance(values, list) or len(values) != DIMENSION:
                 raise ValueError(f"'coeffs' must be a list of {DIMENSION} rational strings")
-            from_coeffs = cls([_read_rational(v) for v in values])
+            from_coeffs = cls([read_rational(v) for v in values])
         if "matrix" in obj:
             rows = obj["matrix"]
             if (not isinstance(rows, list) or len(rows) != 8
                     or any(not isinstance(r, list) or len(r) != 8 for r in rows)):
                 raise ValueError("'matrix' must be an 8x8 array of rational strings")
             from_mat = cls.from_matrix(
-                SquareMatrix([[_read_rational(x) for x in row] for row in rows]))
+                SquareMatrix([[read_rational(x) for x in row] for row in rows]))
         if from_coeffs is not None and from_mat is not None:
             if from_coeffs != from_mat:
                 raise ValueError("'coeffs' and 'matrix' encodings disagree")
@@ -214,19 +213,6 @@ class So8Element:
         if result is None:
             raise ValueError("so(8) element needs a 'coeffs' or 'matrix' field")
         return result
-
-
-_RATIONAL_STRING = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
-def _read_rational(value: object) -> Fraction:
-    """An input entry: a string "p/q" or "p" of ASCII digits with q > 0 and
-    gcd(p, q) == 1. JSON numbers, spaces, decimals and exponents raise ValueError."""
-    match = _RATIONAL_STRING.fullmatch(value) if isinstance(value, str) else None
-    p, q = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
-    if q == 0 or gcd(p, q) != 1:
-        raise ValueError(f'{value!r} is not a rational string "p/q" or "p" in lowest terms')
-    return Fraction(p, q)
 
 
 def bracket(x: So8Element, y: So8Element) -> So8Element:

@@ -21,6 +21,11 @@ def child_pythonpath():
         yield
 
 
+# entries `parse_rational` accepts but the JSON readers must reject: an
+# unreduced fraction, spaces, an exponent, a decimal and a JSON number
+NON_CANONICAL_ENTRIES = ("2/4", " 5 ", "1e3", "1.5", 5)
+
+
 def signed_permutation(seed: int) -> SquareMatrix:
     """Deterministic signed permutation matrix of size 8 (orthogonal, det +-1)."""
     rng = random.Random(seed)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from triality import cli
 from triality.cli import main
 from triality.invariants import (canonical_block_element, invariant_vector,
                                  sigma_transform_invariants)
@@ -169,6 +170,23 @@ class TestSigmaCommand:
 
     def test_negative_power_rejected(self):
         assert run_cli("sigma", "--input", "x.json", "--power", "-1").returncode == 2
+
+
+class TestSharedParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_leaks_between_calls(self, tmp_path, capsys):
+        path = write_element(tmp_path, random_element(8))
+        assert main(["sigma", "--input", path, "--power", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["power"] == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["sigma", "--input", path, "--power", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["sigma", "--input", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["power"], payload["effective_power"]) == (1, 1)
 
 
 class TestFixedCommand:

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import NON_CANONICAL_ENTRIES
 from triality.exact import (Polynomial, SpanSolver, SquareMatrix, format_rational,
                             integer_rows, kernel_basis_of_rows, parse_rational,
-                            primitive_integer_vector)
+                            primitive_integer_vector, read_rational)
 from triality.invariants import pfaffian_matchings, pfaffian_permutation_sum
 from triality.so8 import DIMENSION, So8Element
 
@@ -57,6 +58,23 @@ class TestRationals:
     def test_parse_accepts_decimal_free_forms(self):
         assert parse_rational("-3/9") == Fraction(-1, 3)
         assert parse_rational("7") == 7
+
+    def test_read_accepts_canonical_strings(self):
+        assert read_rational("-3/7") == Fraction(-3, 7)
+        assert read_rational("0") == 0
+        assert read_rational("12") == 12
+
+    @pytest.mark.parametrize("entry", NON_CANONICAL_ENTRIES)
+    def test_read_rejects_non_canonical_forms(self, entry):
+        with pytest.raises(ValueError, match="lowest terms"):
+            read_rational(entry)
+
+    @pytest.mark.parametrize("entry", NON_CANONICAL_ENTRIES)
+    def test_matrix_from_json_rejects_non_canonical_forms(self, entry):
+        assert SquareMatrix.from_json([["0", "1/2"], ["-1/2", "0"]]) == \
+            SquareMatrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
+        with pytest.raises(ValueError, match="lowest terms"):
+            SquareMatrix.from_json([["0", entry], ["-1/2", "0"]])
 
 
 class TestPolynomial:

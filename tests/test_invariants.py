@@ -1,6 +1,10 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import signed_permutation
 from triality.automorphisms import (g2_fixed_subalgebra, sigma,
@@ -18,9 +22,21 @@ from triality.invariants import (C3_COEFFICIENTS, CANDIDATE_C3_COEFFICIENTS,
                                  sigma_transform_invariants,
                                  spectral_coefficients, t_matrix, tr_power)
 from triality.exact import SquareMatrix
-from triality.so8 import Generator, So8Element, random_element
+from triality.so8 import DIMENSION, Generator, So8Element, random_element
 
 BLOCK_1234 = canonical_block_element([1, 2, 3, 4])
+
+# numerators and denominators drawn independently, so the coefficients of one
+# element have unrelated denominators; zeros thin out the principal minors
+coefficients = st.lists(
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 3))
+    | st.just(Fraction(0)), min_size=DIMENSION, max_size=DIMENSION)
+
+BLOCK_TUPLES = (
+    (1, 2, 3, 4), (1, 1, 1, 1), (2, 3, 5, 7), (1, -2, 3, -4), (0, 1, 2, 3), (0, 0, 0, 5),
+    (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)),
+    (Fraction(3, 2), 2, Fraction(-5, 4), 1), (Fraction(7, 3), Fraction(-1, 3), Fraction(2, 3), 3),
+)
 
 
 def degree6_vector(v: InvariantVector) -> tuple:
@@ -92,6 +108,22 @@ class TestSpectral:
         for k in range(50):
             m = random_element(2200 + k)
             assert spectral_coefficients(m).e4 == pfaffian_matchings(m) ** 2
+
+    @pytest.mark.parametrize("lams", BLOCK_TUPLES, ids=str)
+    def test_block_models_give_elementary_symmetric_functions(self, lams):
+        squares = [Fraction(lam) ** 2 for lam in lams]
+        expected = tuple(sum(math.prod(c) for c in itertools.combinations(squares, j))
+                         for j in (1, 2, 3, 4))
+        assert spectral_coefficients(canonical_block_element(lams)).as_tuple() == expected
+
+    @settings(max_examples=60)
+    @given(coeffs=coefficients)
+    def test_matches_faddeev_leverrier(self, coeffs):
+        # det(M - x*I) = x^8 + e1 x^6 + e2 x^4 + e3 x^2 + e4 for antisymmetric M
+        m = So8Element(coeffs)
+        cp = m.matrix.char_poly()
+        expected = (cp.coefficient(6), cp.coefficient(4), cp.coefficient(2), cp.coefficient(0))
+        assert spectral_coefficients(m).as_tuple() == expected
 
 
 class TestNewton:

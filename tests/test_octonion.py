@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import NON_CANONICAL_ENTRIES
 from triality import SquareMatrix
 from triality.octonion import (FANO_LINES, Octonion, basis_product, inner_product,
                                is_algebra_automorphism, multiplication_table_symbols,
@@ -186,3 +187,8 @@ class TestSerialization:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             Octonion([Fraction(1)] * 7)
+
+    @pytest.mark.parametrize("entry", NON_CANONICAL_ENTRIES)
+    def test_from_json_rejects_non_canonical_forms(self, entry):
+        with pytest.raises(ValueError, match="lowest terms"):
+            Octonion.from_json(["1"] * 7 + [entry])

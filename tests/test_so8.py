@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import NON_CANONICAL_ENTRIES
 from triality import SquareMatrix
 from triality.automorphisms import TrialityMap, sigma
 from triality.so8 import (DIMENSION, GENERATORS, Generator, So8Element, bracket,
@@ -177,6 +178,16 @@ class TestSerialization:
             So8Element.from_json({"coeffs": ["1"] * 27})
         with pytest.raises(ValueError):
             So8Element.from_json({"matrix": [["0"] * 7] * 8})
+
+    @pytest.mark.parametrize("entry", NON_CANONICAL_ENTRIES)
+    def test_rejects_non_canonical_forms(self, entry):
+        coeffs = ["0"] * DIMENSION
+        coeffs[0] = entry
+        matrix = [["0"] * 8 for _ in range(8)]
+        matrix[0][1] = entry
+        for obj in ({"coeffs": coeffs}, {"matrix": matrix}):
+            with pytest.raises(ValueError, match="lowest terms"):
+                So8Element.from_json(obj)
 
 
 coefficients = st.lists(
