@@ -16,7 +16,6 @@ import sys
 from typing import Optional, Sequence
 
 from . import automorphisms, invariants, octonion, so8
-from .exact import format_rational
 from .verify import SUITES, RunConfig, build_report, report_passed
 
 
@@ -117,6 +116,11 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
         elif "pairs_checked" in entry:
             extra = f" (pairs={entry['pairs_checked']})"
         lines.append(f"{label} {entry['check_id']}{extra}")
+        if status == "fail":
+            for key in ("counterexample", "error"):
+                if key in entry:
+                    lines.append("  " + json.dumps(entry[key], sort_keys=True))
+                    break
     n_fail = sum(1 for e in checks if e["status"] == "fail")
     n_info = sum(1 for e in checks if e["status"] == "discrepancy-confirmed")
     lines.append(f"{len(checks) - n_fail - n_info} checks passed, {n_fail} failed, "
@@ -168,7 +172,7 @@ def _subalgebra_payload(sub: automorphisms.FixedSubalgebra) -> dict:
         "dim": structure["dim"],
         "killing_nondegenerate": structure["killing_nondegenerate"],
         "rank": structure["rank"],
-        "basis_coeffs": [[format_rational(c) for c in b.coeffs] for b in sub.basis],
+        "basis_coeffs": [b.to_json("coeffs")["coeffs"] for b in sub.basis],
     }
 
 
@@ -201,8 +205,8 @@ def _cmd_dump(args) -> tuple[int, dict, list[str]]:
         "order3_full": tmap.full.to_json(),
         "t_matrix": invariants.t_matrix(1).to_json(),
         "t_matrix_squared": invariants.t_matrix(2).to_json(),
-        "g2_basis": [[format_rational(c) for c in b.coeffs] for b in g2.basis],
-        "so7_basis": [[format_rational(c) for c in b.coeffs] for b in so7.basis],
+        "g2_basis": [b.to_json("coeffs")["coeffs"] for b in g2.basis],
+        "so7_basis": [b.to_json("coeffs")["coeffs"] for b in so7.basis],
     }
     lines = [
         "fano lines: " + ", ".join(str(tuple(line)) for line in octonion.FANO_LINES),

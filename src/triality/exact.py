@@ -9,7 +9,8 @@ representations, and `==` and `hash` compare integers. `integer_rows`
 writes rational input in that form; products, sums, scaling, transposes,
 traces and the Faddeev-LeVerrier steps of characteristic polynomials run on
 the integers, and `lowest_terms` reduces each result once. The `Fraction`
-entries (`rows`, indexing) are a view built on first read.
+entries (`rows`, indexing) are a view built on first read. JSON is read
+(`read_integer_rows`) and written (`format_numerators`) on the integers too.
 
 One fraction-free Gauss-Jordan elimination on integer rows, `rref`, serves
 every elimination: determinants, kernels, ranks and `SpanSolver`'s span
@@ -52,17 +53,45 @@ def parse_rational(text: str) -> Rational:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
-_RATIONAL_STRING = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# exactly the strings `format_rational` emits: no sign on zero, no leading
+# zeros, and a denominator only when it is not 1
+_RATIONAL_STRING = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
+
+
+def read_ratio(value: object) -> tuple[int, int]:
+    """A JSON input entry as integers (p, q): a string "p/q" or "p" of ASCII
+    digits in the canonical form `format_rational` writes, with q > 1 and
+    gcd(p, q) == 1 in the first. Anything else raises ValueError: JSON
+    numbers, spaces, decimals, exponents, leading zeros, "-0" and "p/1"."""
+    match = _RATIONAL_STRING.fullmatch(value) if isinstance(value, str) else None
+    if match and match[2] != "1":
+        p, q = int(match[1]), int(match[2] or 1)
+        if gcd(p, q) == 1:
+            return p, q
+    raise ValueError(f'{value!r} is not a rational string "p/q" or "p" in lowest terms')
 
 
 def read_rational(value: object) -> Rational:
-    """A JSON input entry: a string "p/q" or "p" of ASCII digits with q > 0 and
-    gcd(p, q) == 1. JSON numbers, spaces, decimals and exponents raise ValueError."""
-    match = _RATIONAL_STRING.fullmatch(value) if isinstance(value, str) else None
-    p, q = (int(match[1]), int(match[2] or 1)) if match else (0, 0)
-    if q == 0 or gcd(p, q) != 1:
-        raise ValueError(f'{value!r} is not a rational string "p/q" or "p" in lowest terms')
-    return Fraction(p, q)
+    """A JSON input entry as a `Fraction`; see `read_ratio` for the format."""
+    return Fraction(*read_ratio(value))
+
+
+def read_integer_rows(rows: Iterable[Iterable[object]]) -> tuple[list[list[int]], int]:
+    """JSON input entries read by `read_ratio`, as (numerators, den) with den
+    the lcm of the q's; in lowest terms for the reason given in `integer_rows`."""
+    ratios = [[read_ratio(x) for x in row] for row in rows]
+    den = lcm(*(q for row in ratios for _, q in row))
+    return [[p * (den // q) for p, q in row] for row in ratios], den
+
+
+def format_numerators(numerators: Iterable[int], den: int) -> list[str]:
+    """`format_rational(n / den)` for each n, with one gcd per entry and no
+    `Fraction`."""
+    out = []
+    for n in numerators:
+        g = gcd(n, den)
+        out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+    return out
 
 
 class Polynomial:
@@ -280,11 +309,11 @@ class SquareMatrix:
         return kernel_basis_of_rows(self.numerators, self.dim)
 
     def to_json(self) -> list[list[str]]:
-        return [[format_rational(x) for x in row] for row in self.rows]
+        return [format_numerators(row, self.denominator) for row in self.numerators]
 
     @classmethod
     def from_json(cls, rows: Sequence[Sequence[str]]) -> "SquareMatrix":
-        return cls([[read_rational(x) for x in row] for row in rows])
+        return cls.from_integers(*read_integer_rows(rows))
 
 
 def integer_rows(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int]:

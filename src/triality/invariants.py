@@ -37,6 +37,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .automorphisms import sigma
@@ -162,12 +163,25 @@ def pfaffian_permutation_sum(m: So8Element) -> Rational:
 
 
 def invariant_vector(m: So8Element) -> InvariantVector:
-    """(Tr M^2, Tr M^4, Tr M^6, Pf M), all exact; Tr M^6 = Tr(M^2 M^4) is
-    summed entrywise, without a third product."""
+    """(Tr M^2, Tr M^4, Tr M^6, Pf M), all exact, on the integer numerators N
+    of M = N / den. S = N^2 = -N N^t is symmetric, so only its upper triangle
+    is formed: Tr N^2 = sum_i S_ii and Tr N^4 = sum_ij S_ij^2. T = S N = N^3
+    is antisymmetric, T_ij = -<S_i, N_j>, so Tr N^6 = -sum_ij T_ij^2 needs
+    its 28 upper entries. The traces are divided by den^2, den^4 and den^6."""
     mat = m.matrix
-    m2 = mat * mat
-    m4 = m2 * m2
-    return InvariantVector(m2.trace(), m4.trace(), m2.product_trace(m4), pfaffian_matchings(m))
+    n = mat.numerators
+    s = [[0] * 8 for _ in range(8)]
+    for i in range(8):
+        for j in range(i, 8):
+            s[i][j] = s[j][i] = -sum(map(mul, n[i], n[j]))
+    diagonal = [s[i][i] for i in range(8)]
+    off_diagonal = sum(s[i][j] ** 2 for i in range(8) for j in range(i + 1, 8))
+    t_upper = sum(sum(map(mul, s[i], n[j])) ** 2 for i in range(8) for j in range(i + 1, 8))
+    den2 = mat.denominator ** 2
+    return InvariantVector(Fraction(sum(diagonal), den2),
+                           Fraction(sum(x * x for x in diagonal) + 2 * off_diagonal, den2 ** 2),
+                           Fraction(-2 * t_upper, den2 ** 3),
+                           pfaffian_matchings(m))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ generators, and the corresponding 8x8 antisymmetric matrix; the two
 round-trip exactly. Both are stored as integer numerators over one positive
 denominator in lowest terms (see `exact`), and an element and its matrix
 share the same denominator; the `Fraction` coefficients (`coeffs`) are a
-view built on first read.
+view built on first read, and JSON is read and written without it.
 
 The 28 generators split into seven 4-element quadruples
 
@@ -29,8 +29,8 @@ from math import lcm
 from operator import add, sub
 from typing import Optional, Sequence
 
-from .exact import (ConsistencyError, Rational, SquareMatrix, format_rational, integer_rows,
-                    lowest_terms, read_rational)
+from .exact import (ConsistencyError, Rational, SquareMatrix, format_numerators,
+                    format_rational, integer_rows, lowest_terms, read_integer_rows)
 from .octonion import _mod7
 
 DIMENSION = 28
@@ -179,7 +179,7 @@ class So8Element:
     def to_json(self, encoding: str = "both") -> dict:
         out: dict = {}
         if encoding in ("coeffs", "both"):
-            out["coeffs"] = [format_rational(c) for c in self.coeffs]
+            out["coeffs"] = format_numerators(self.numerators, self.denominator)
         if encoding in ("matrix", "both"):
             out["matrix"] = self.matrix.to_json()
         if not out:
@@ -197,14 +197,14 @@ class So8Element:
             values = obj["coeffs"]
             if not isinstance(values, list) or len(values) != DIMENSION:
                 raise ValueError(f"'coeffs' must be a list of {DIMENSION} rational strings")
-            from_coeffs = cls([read_rational(v) for v in values])
+            (num,), den = read_integer_rows([values])
+            from_coeffs = cls.from_integers(num, den)
         if "matrix" in obj:
             rows = obj["matrix"]
             if (not isinstance(rows, list) or len(rows) != 8
                     or any(not isinstance(r, list) or len(r) != 8 for r in rows)):
                 raise ValueError("'matrix' must be an 8x8 array of rational strings")
-            from_mat = cls.from_matrix(
-                SquareMatrix([[read_rational(x) for x in row] for row in rows]))
+            from_mat = cls.from_matrix(SquareMatrix.from_integers(*read_integer_rows(rows)))
         if from_coeffs is not None and from_mat is not None:
             if from_coeffs != from_mat:
                 raise ValueError("'coeffs' and 'matrix' encodings disagree")

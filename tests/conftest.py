@@ -22,8 +22,10 @@ def child_pythonpath():
 
 
 # entries `parse_rational` accepts but the JSON readers must reject: an
-# unreduced fraction, spaces, an exponent, a decimal and a JSON number
-NON_CANONICAL_ENTRIES = ("2/4", " 5 ", "1e3", "1.5", 5)
+# unreduced fraction, spaces, an exponent, a decimal, a JSON number, and the
+# spellings `format_rational` never writes (a signed zero, leading zeros in a
+# numerator or a denominator, and a denominator of 1)
+NON_CANONICAL_ENTRIES = ("2/4", " 5 ", "1e3", "1.5", 5, "-0", "007", "3/01", "-0/1", "5/1")
 
 
 def signed_permutation(seed: int) -> SquareMatrix:

@@ -30,6 +30,7 @@ class TestVerifyCommand:
         assert main(["verify", "--samples", "2", "--suite", "octonion"]) == 0
         out = capsys.readouterr().out
         assert "PASS octonion.table_rules" in out
+        assert not any(line.startswith(" ") for line in out.splitlines())
 
     def test_json_report_shape(self, capsys):
         assert main(["verify", "--samples", "2", "--suite", "so8", "--json"]) == 0
@@ -49,6 +50,22 @@ class TestVerifyCommand:
         bracket = [e for e in payload["checks"]
                    if e["check_id"] == "triality.bracket_preservation"][0]
         assert "counterexample" in bracket
+
+    def test_text_failures_print_their_witnesses(self, capsys):
+        argv = ["verify", "--suite", "triality", "--corrupt-constant", "--samples", "1"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        expected = {e["check_id"]: "  " + json.dumps(e.get("counterexample", e.get("error")),
+                                                     sort_keys=True)
+                    for e in checks
+                    if e["status"] == "fail" and ("counterexample" in e or "error" in e)}
+        witnesses = {lines[i - 1].split()[1]: line
+                     for i, line in enumerate(lines) if line.startswith("  ")}
+        assert witnesses == expected
+        assert {"triality.order_three", "triality.bracket_preservation",
+                "triality.fixed_dims"} <= set(expected)
 
     def test_usage_errors_exit_two(self):
         assert run_cli("verify", "--samples", "0").returncode == 2
@@ -115,9 +132,12 @@ class TestEvalCommand:
         path.write_text(json.dumps(obj))
         assert main(["eval", "--input", str(path)]) == 1
 
-    @pytest.mark.parametrize("entry", ["2/4", 3, "1e3", "1.5", " 5 "],
+    @pytest.mark.parametrize("entry", ["2/4", 3, "1e3", "1.5", " 5 ", "-0", "007", "3/01",
+                                       "-0/1", "5/1"],
                              ids=["not_lowest_terms", "json_number", "exponent",
-                                  "decimal", "padded"])
+                                  "decimal", "padded", "negative_zero", "leading_zeros",
+                                  "padded_denominator", "negative_zero_fraction",
+                                  "unit_denominator"])
     @pytest.mark.parametrize("field", ["coeffs", "matrix"])
     def test_non_canonical_rational_exits_one(self, tmp_path, capsys, field, entry):
         if field == "coeffs":

@@ -64,6 +64,19 @@ class TestRationals:
         assert read_rational("0") == 0
         assert read_rational("12") == 12
 
+    @given(a=rationals)
+    def test_read_accepts_every_formatted_string(self, a):
+        assert read_rational(format_rational(a)) == a
+
+    @given(text=st.from_regex(r"-?[0-9]{1,4}(/[0-9]{1,4})?", fullmatch=True)
+           | st.text(alphabet="-/0123456789 .e", max_size=8))
+    def test_read_is_the_inverse_of_format(self, text):
+        try:
+            value = read_rational(text)
+        except ValueError:
+            return
+        assert format_rational(value) == text
+
     @pytest.mark.parametrize("entry", NON_CANONICAL_ENTRIES)
     def test_read_rejects_non_canonical_forms(self, entry):
         with pytest.raises(ValueError, match="lowest terms"):
@@ -336,6 +349,13 @@ class TestIntegerForm:
         rows, den = integer_rows(a.rows)
         assert den > 0
         assert [[Fraction(x, den) for x in row] for row in rows] == [list(r) for r in a.rows]
+
+    @given(mats=square_matrices())
+    def test_json_roundtrip_and_writer_matches_fraction_view(self, mats):
+        (a,) = mats
+        assert a.to_json() == [[format_rational(x) for x in row] for row in a.rows]
+        back = SquareMatrix.from_json(a.to_json())
+        assert (back.numerators, back.denominator) == (a.numerators, a.denominator)
 
     @given(mats=square_matrices(count=2))
     def test_product_matches_entrywise_sum(self, mats):

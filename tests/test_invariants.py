@@ -55,6 +55,14 @@ class TestTracePowers:
         assert tr_power(BLOCK_1234, 4) == 708
         assert tr_power(BLOCK_1234, 6) == -9780
 
+    @settings(max_examples=40)
+    @given(coeffs=coefficients)
+    def test_invariant_vector_matches_dense_oracles(self, coeffs):
+        m = So8Element(coeffs)
+        v = invariant_vector(m)
+        assert (v.p1, v.p2, v.p3) == (tr_power(m, 2), tr_power(m, 4), tr_power(m, 6))
+        assert v.pf == pfaffian_permutation_sum(m)
+
     def test_odd_power_rejected(self):
         with pytest.raises(ValueError):
             tr_power(BLOCK_1234, 3)

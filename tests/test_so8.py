@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import NON_CANONICAL_ENTRIES
 from triality import SquareMatrix
 from triality.automorphisms import TrialityMap, sigma
+from triality.exact import format_rational
 from triality.so8 import (DIMENSION, GENERATORS, Generator, So8Element, bracket,
                           generator_matrix, quadruples, random_element)
 
@@ -253,3 +254,22 @@ class TestIntegerForm:
         expected = [sum((full[i][j] * coeffs[j] for j in range(DIMENSION)), Fraction(0))
                     for i in range(DIMENSION)]
         _assert_same_value(sigma(So8Element(coeffs)), expected)
+
+
+class TestJsonOnIntegers:
+    """The JSON writer formats the integer numerators and the reader builds
+    them back; formatting the `Fraction` views is the oracle."""
+
+    @given(coeffs=coefficients, encoding=st.sampled_from(["coeffs", "matrix", "both"]))
+    def test_roundtrip(self, coeffs, encoding):
+        x = So8Element(coeffs)
+        back = So8Element.from_json(json.loads(json.dumps(x.to_json(encoding))))
+        assert back == x
+        assert (back.numerators, back.denominator) == (x.numerators, x.denominator)
+
+    @given(coeffs=coefficients)
+    def test_writer_matches_fraction_views(self, coeffs):
+        x = So8Element(coeffs)
+        assert x.to_json("both") == {
+            "coeffs": [format_rational(c) for c in x.coeffs],
+            "matrix": [[format_rational(c) for c in row] for row in x.matrix.rows]}
