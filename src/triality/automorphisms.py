@@ -30,9 +30,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import (ConsistencyError, Rational, SpanSolver, SquareMatrix,
-                    format_rational, kernel_basis_of_rows, primitive_integer_vector)
+                    format_numerators, kernel_basis_of_rows, primitive_integer_vector)
 from .so8 import (DIMENSION, GENERATORS, So8Element, bracket, quadruples,
-                  random_element)
+                  random_element, structure_constants as so8_structure_constants)
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -121,39 +121,61 @@ def verify_bracket_preservation(samples: int, seed: int,
 
     Runs all 28x28 generator pairs plus `samples` seeded random pairs with
     integer coefficients in [-bound, bound]. The returned report is JSON-ready.
+
+    A generator pair is read off the so(8) structure constants: with
+    phi = F / den, phi[G_a, G_b] = s * F[:, c] / den when [G_a, G_b] = s G_c,
+    and [phi G_a, phi G_b] = sum over k, l of F[k][a] F[l][b] [G_k, G_l] / den^2,
+    which is exact because the commutator is bilinear. The sampled pairs take
+    the dense matrix commutator on both sides.
     """
     tmap = tmap or TrialityMap.standard()
     violations = 0
     violating_pairs: list = []
     counterexample = None
-    basis_elements = [So8Element.from_generator(g) for g in GENERATORS]
-    images = [tmap.apply(b) for b in basis_elements]
 
-    def check(x, sx, y, sy, tag):
+    def check(lhs: Sequence[int], lhs_den: int, rhs: Sequence[int], rhs_den: int, tag):
+        """Compare lhs / lhs_den with rhs / rhs_den, both as integer numerators."""
         nonlocal violations, counterexample
-        lhs = tmap.apply(bracket(x, y))
-        rhs = bracket(sx, sy)
-        if lhs != rhs:
-            violations += 1
-            if len(violating_pairs) < 10:
-                violating_pairs.append(tag)
-            if counterexample is None:
-                counterexample = {
-                    "pair": tag,
-                    "image_of_bracket": [format_rational(c) for c in lhs.coeffs],
-                    "bracket_of_images": [format_rational(c) for c in rhs.coeffs],
-                }
+        if all(x * rhs_den == y * lhs_den for x, y in zip(lhs, rhs)):
+            return
+        violations += 1
+        if len(violating_pairs) < 10:
+            violating_pairs.append(tag)
+        if counterexample is None:
+            counterexample = {
+                "pair": tag,
+                "image_of_bracket": format_numerators(lhs, lhs_den),
+                "bracket_of_images": format_numerators(rhs, rhs_den),
+            }
 
+    table = so8_structure_constants()
+    full = tmap.full.numerators
+    den = tmap.full.denominator
+    # the nonzero entries (k, F[k][c]) of each column c of F: the image of G_c
+    columns = [[(k, row[c]) for k, row in enumerate(full) if row[c]] for c in range(DIMENSION)]
     checked = 0
     for a in range(DIMENSION):
         for b in range(DIMENSION):
-            check(basis_elements[a], images[a], basis_elements[b], images[b],
-                  [GENERATORS[a].label, GENERATORS[b].label])
+            lhs = [0] * DIMENSION
+            if table[a][b] is not None:
+                c, s = table[a][b]
+                for k, f in columns[c]:
+                    lhs[k] = s * f
+            rhs = [0] * DIMENSION
+            for k, fa in columns[a]:
+                for l, fb in columns[b]:
+                    if table[k][l] is not None:
+                        c, s = table[k][l]
+                        rhs[c] += s * fa * fb
+            check(lhs, den, rhs, den * den, [GENERATORS[a].label, GENERATORS[b].label])
             checked += 1
     for k in range(samples):
         x = random_element(seed + 2 * k, bound)
         y = random_element(seed + 2 * k + 1, bound)
-        check(x, tmap.apply(x), y, tmap.apply(y), ["sample", k])
+        lhs = tmap.apply(bracket(x, y))
+        rhs = bracket(tmap.apply(x), tmap.apply(y))
+        check(lhs.numerators, lhs.denominator, rhs.numerators, rhs.denominator,
+              ["sample", k])
         checked += 1
 
     report = {

@@ -147,18 +147,26 @@ def _permutation_sign(perm: Sequence[int]) -> int:
 
 
 @functools.cache
-def _s7_terms() -> tuple[tuple[int, tuple[int, ...]], ...]:
-    return tuple((_permutation_sign(p), p) for p in itertools.permutations(range(1, 8)))
+def _s7_terms() -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """The 5040 terms of the permutation sum as row-major flat indices into
+    the 8x8 matrix, (p1, 8 p2 + p3, 8 p4 + p5, 8 p6 + p7) for the entries
+    M[0][p1] M[p2][p3] M[p4][p5] M[p6][p7]: the even permutations, then the
+    odd ones."""
+    even, odd = [], []
+    for p in itertools.permutations(range(1, 8)):
+        term = (p[0], 8 * p[1] + p[2], 8 * p[3] + p[4], 8 * p[5] + p[6])
+        (even if _permutation_sign(p) == 1 else odd).append(term)
+    return tuple(even), tuple(odd)
 
 
 def pfaffian_permutation_sum(m: So8Element) -> Rational:
     """The paper's literal permutation sum: over the 5040 permutations p of
     {1..7}, sign(p) * M[0][p1] M[p2][p3] M[p4][p5] M[p6][p7], prefactor 1/(3! * 2^3)."""
     mat = m.matrix
-    rows = mat.numerators
-    total = 0
-    for sign, p in _s7_terms():
-        total += sign * rows[0][p[0]] * rows[p[1]][p[2]] * rows[p[3]][p[4]] * rows[p[5]][p[6]]
+    n = [x for row in mat.numerators for x in row]
+    even, odd = _s7_terms()
+    total = (sum(n[a] * n[b] * n[c] * n[d] for a, b, c, d in even)
+             - sum(n[a] * n[b] * n[c] * n[d] for a, b, c, d in odd))
     return Fraction(total, 48 * mat.denominator ** 4)
 
 

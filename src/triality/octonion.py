@@ -22,12 +22,12 @@ group of the algebra, reduces to the 64 basis products by bilinearity.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from operator import add, sub
+from typing import Optional, Sequence
 
-from .exact import ConsistencyError, Rational, SquareMatrix, format_rational, read_rational
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .exact import (ConsistencyError, Rational, SquareMatrix, format_numerators, integer_rows,
+                    lowest_terms, read_integer_rows)
 
 
 def _mod7(k: int) -> int:
@@ -102,15 +102,38 @@ def multiplication_table_symbols() -> list[list[str]]:
 
 
 class Octonion:
-    """An octonion with rational coefficients over (e0, ..., e7)."""
+    """An octonion with rational coefficients over (e0, ..., e7), stored like
+    an so(8) element: integer numerators over one positive denominator in
+    lowest terms, with the `Fraction` coefficients a view built on first read."""
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("numerators", "denominator", "_coefficients")
 
     def __init__(self, coefficients: Sequence[Rational]):
-        coeffs = tuple(Fraction(c) for c in coefficients)
-        if len(coeffs) != 8:
-            raise ValueError(f"octonions have 8 coefficients, got {len(coeffs)}")
-        self.coefficients = coeffs
+        (num,), den = integer_rows([[Fraction(c) for c in coefficients]])
+        self._assign(num, den)
+
+    @classmethod
+    def from_integers(cls, numerators: Sequence[int], den: int) -> "Octonion":
+        """The octonion with coefficients numerators[k] / den, in lowest terms."""
+        x = cls.__new__(cls)
+        x._assign(numerators, den)
+        return x
+
+    def _assign(self, numerators: Sequence[int], den: int) -> None:
+        (num,), den = lowest_terms((tuple(numerators),), den)
+        if len(num) != 8:
+            raise ValueError(f"octonions have 8 coefficients, got {len(num)}")
+        self.numerators: tuple[int, ...] = num
+        self.denominator = den
+        self._coefficients: Optional[tuple[Rational, ...]] = None
+
+    @property
+    def coefficients(self) -> tuple[Rational, ...]:
+        """The coefficients as `Fraction`s, built on first read."""
+        if self._coefficients is None:
+            den = self.denominator
+            self._coefficients = tuple(Fraction(c, den) for c in self.numerators)
+        return self._coefficients
 
     @classmethod
     def one(cls) -> "Octonion":
@@ -120,60 +143,68 @@ class Octonion:
     def basis(cls, k: int) -> "Octonion":
         if not 0 <= k <= 7:
             raise ValueError(f"basis index must lie in 0..7, got {k}")
-        return cls(tuple(_ONE if i == k else _ZERO for i in range(8)))
+        return cls.from_integers([1 if i == k else 0 for i in range(8)], 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Octonion):
             return NotImplemented
-        return self.coefficients == other.coefficients
+        return self.denominator == other.denominator and self.numerators == other.numerators
 
     def __hash__(self) -> int:
-        return hash(self.coefficients)
+        return hash((self.numerators, self.denominator))
 
     def __repr__(self) -> str:
         return f"Octonion({[str(c) for c in self.coefficients]})"
 
     def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
+        return self._combine(other, add)
 
     def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion(tuple(a - b for a, b in zip(self.coefficients, other.coefficients)))
+        return self._combine(other, sub)
+
+    def _combine(self, other: "Octonion", op) -> "Octonion":
+        den = lcm(self.denominator, other.denominator)
+        fa = den // self.denominator
+        fb = den // other.denominator
+        return Octonion.from_integers(
+            [op(a * fa, b * fb) for a, b in zip(self.numerators, other.numerators)], den)
 
     def __neg__(self) -> "Octonion":
-        return Octonion(tuple(-a for a in self.coefficients))
+        return Octonion.from_integers([-a for a in self.numerators], self.denominator)
 
     def scale(self, factor: Rational) -> "Octonion":
         f = Fraction(factor)
-        return Octonion(tuple(f * a for a in self.coefficients))
+        return Octonion.from_integers([f.numerator * a for a in self.numerators],
+                                      f.denominator * self.denominator)
 
     def __mul__(self, other: "Octonion") -> "Octonion":
-        out = [_ZERO] * 8
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                if b == 0:
-                    continue
-                k, s = _TABLE[i][j]
-                out[k] += s * a * b
-        return Octonion(out)
+        out = [0] * 8
+        for i, a in enumerate(self.numerators):
+            if a:
+                row = _TABLE[i]
+                for j, b in enumerate(other.numerators):
+                    if b:
+                        k, s = row[j]
+                        out[k] += s * a * b
+        return Octonion.from_integers(out, self.denominator * other.denominator)
 
     def conjugate(self) -> "Octonion":
-        c = self.coefficients
-        return Octonion((c[0],) + tuple(-x for x in c[1:]))
+        c = self.numerators
+        return Octonion.from_integers((c[0],) + tuple(-x for x in c[1:]), self.denominator)
 
     def real_part(self) -> Rational:
-        return self.coefficients[0]
+        return Fraction(self.numerators[0], self.denominator)
 
     def norm_squared(self) -> Rational:
-        return sum((c * c for c in self.coefficients), _ZERO)
+        return Fraction(sum(c * c for c in self.numerators), self.denominator ** 2)
 
     def to_json(self) -> list[str]:
-        return [format_rational(c) for c in self.coefficients]
+        return format_numerators(self.numerators, self.denominator)
 
     @classmethod
     def from_json(cls, values: Sequence[str]) -> "Octonion":
-        return cls([read_rational(v) for v in values])
+        (num,), den = read_integer_rows([values])
+        return cls.from_integers(num, den)
 
 
 def inner_product(x: Octonion, y: Octonion) -> Rational:
@@ -182,7 +213,8 @@ def inner_product(x: Octonion, y: Octonion) -> Rational:
     Also evaluated as the real part of x * conj(y); the two expressions must
     agree identically, so a mismatch means the multiplication table is broken.
     """
-    direct = sum((a * b for a, b in zip(x.coefficients, y.coefficients)), _ZERO)
+    direct = Fraction(sum(a * b for a, b in zip(x.numerators, y.numerators)),
+                      x.denominator * y.denominator)
     via_product = (x * y.conjugate()).real_part()
     if direct != via_product:
         raise ConsistencyError("inner product disagrees with Re(x*conj(y))")
@@ -194,18 +226,18 @@ _ROTATION_IMAGE = tuple([0] + [_mod7(2 * i) for i in range(1, 8)])
 
 def rotation_automorphism(x: Octonion) -> Octonion:
     """The order-3 automorphism induced by rotating the line diagram: ei -> e_{2i mod 7}."""
-    out = [_ZERO] * 8
-    for i, c in enumerate(x.coefficients):
+    out = [0] * 8
+    for i, c in enumerate(x.numerators):
         out[_ROTATION_IMAGE[i]] = c
-    return Octonion(out)
+    return Octonion.from_integers(out, x.denominator)
 
 
 def rotation_matrix() -> SquareMatrix:
     """The rotation automorphism as an 8x8 matrix on coefficient columns."""
-    rows = [[_ZERO] * 8 for _ in range(8)]
+    rows = [[0] * 8 for _ in range(8)]
     for src in range(8):
-        rows[_ROTATION_IMAGE[src]][src] = _ONE
-    return SquareMatrix(rows)
+        rows[_ROTATION_IMAGE[src]][src] = 1
+    return SquareMatrix.from_integers(rows, 1)
 
 
 def is_algebra_automorphism(m: SquareMatrix) -> bool:
@@ -217,7 +249,9 @@ def is_algebra_automorphism(m: SquareMatrix) -> bool:
         raise ValueError(f"automorphism test needs an 8x8 matrix, got dim {m.dim}")
     if m.determinant() == 0:
         return False
-    images = [Octonion(m.apply(Octonion.basis(k).coefficients)) for k in range(8)]
+    # the image of e_k is column k of m
+    images = [Octonion.from_integers([row[k] for row in m.numerators], m.denominator)
+              for k in range(8)]
     for i in range(8):
         for j in range(8):
             k, s = _TABLE[i][j]

@@ -22,6 +22,7 @@ this is verified when the table is first built and a failure raises.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,6 +221,27 @@ def bracket(x: So8Element, y: So8Element) -> So8Element:
     a = x.matrix
     b = y.matrix
     return So8Element.from_matrix(a * b - b * a)
+
+
+@functools.cache
+def structure_constants() -> tuple[tuple[Optional[tuple[int, int]], ...], ...]:
+    """The bracket on generators: entry [a][b] is (c, s) when [G_a, G_b] = s * G_c
+    and None when it is zero, indices into GENERATORS. Each of the 784 brackets
+    is the matrix commutator, formed once; one that is not zero or a single
+    +-1 generator raises."""
+    elements = [So8Element.from_generator(g) for g in GENERATORS]
+    table = []
+    for a, x in enumerate(elements):
+        row = []
+        for b, y in enumerate(elements):
+            z = bracket(x, y)
+            terms = [(c, s) for c, s in enumerate(z.numerators) if s]
+            if len(terms) > 1 or z.denominator != 1 or any(s not in (1, -1) for _, s in terms):
+                raise ConsistencyError(f"[{GENERATORS[a].label}, {GENERATORS[b].label}] "
+                                       "is not a single signed generator")
+            row.append(terms[0] if terms else None)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ def build_report(cfg: RunConfig) -> list[dict]:
     add("invariants", "invariants.degree6_invariance",
         lambda: _check_degree6_invariance(samples()[:50]))
     add("invariants", "invariants.pfaffian_consistency",
-        lambda: _check_pfaffian(cfg))
+        lambda: _check_pfaffian(cfg, samples()[:50]))
     add("invariants", "invariants.newton_oracle",
         lambda: _check_newton(samples()))
     add("invariants", "invariants.g2_locus", lambda: _check_locus(g2_samples()))
@@ -201,10 +201,10 @@ def _check_norm_composition(cfg: RunConfig) -> dict:
     rng = random.Random(cfg.seed)
 
     def witness(_k):
-        x = octonion.Octonion([Fraction(rng.randint(-cfg.bound, cfg.bound))
-                               for _ in range(8)])
-        y = octonion.Octonion([Fraction(rng.randint(-cfg.bound, cfg.bound))
-                               for _ in range(8)])
+        x = octonion.Octonion.from_integers(
+            [rng.randint(-cfg.bound, cfg.bound) for _ in range(8)], 1)
+        y = octonion.Octonion.from_integers(
+            [rng.randint(-cfg.bound, cfg.bound) for _ in range(8)], 1)
         if (x * y).norm_squared() != x.norm_squared() * y.norm_squared():
             return {"x": x.to_json(), "y": y.to_json()}
         return None
@@ -250,15 +250,15 @@ def _check_quadruples() -> dict:
 
 
 def _check_bracket_antisymmetry() -> dict:
-    # [a, b] = -[b, a] fails for (a, b) exactly when it fails for (b, a), so
-    # the first failing pair in row-major order has a <= b; walking those
-    # computes each of the 784 ordered brackets once
-    elems = [so8.So8Element.from_generator(g) for g in so8.GENERATORS]
+    # [a, b] = -[b, a] on the structure constants: entry (c, s) stands for
+    # s * G_c and None for zero. The identity fails for (a, b) exactly when
+    # it fails for (b, a), so the first failing pair in row-major order has
+    # a <= b
+    table = so8.structure_constants()
     for a in range(28):
         for b in range(a, 28):
-            ab = so8.bracket(elems[a], elems[b])
-            ba = ab if a == b else so8.bracket(elems[b], elems[a])
-            if ab != -ba:
+            ba = table[b][a]
+            if table[a][b] != (None if ba is None else (ba[0], -ba[1])):
                 return {"status": "fail",
                         "counterexample": {"pair": [so8.GENERATORS[a].label,
                                                     so8.GENERATORS[b].label]}}
@@ -417,12 +417,14 @@ _BLOCK_TUPLES = (
 )
 
 
-def _check_pfaffian(cfg: RunConfig) -> dict:
+def _check_pfaffian(cfg: RunConfig, samples: list[_Sample]) -> dict:
+    # the matching-sum Pfaffian and the Bareiss determinant of m_k are the
+    # shared sample's pf and e4; only the permutation sum needs m_k itself
     def witness(k):
         m = so8.random_element(cfg.seed + k, cfg.bound)
-        via_matchings = invariants.pfaffian_matchings(m)
+        via_matchings = samples[k].v.pf
         via_perms = invariants.pfaffian_permutation_sum(m)
-        det = m.matrix.determinant()
+        det = samples[k].e.e4
         if via_matchings != via_perms or via_matchings ** 2 != det:
             return {"sample": k,
                     "matchings": format_rational(via_matchings),
@@ -430,7 +432,7 @@ def _check_pfaffian(cfg: RunConfig) -> dict:
                     "determinant": format_rational(det)}
         return None
 
-    entry = _sampled(min(cfg.samples, 50), witness)
+    entry = _sampled(len(samples), witness)
     block_ok = True
     for lams in _BLOCK_TUPLES:
         m = invariants.canonical_block_element([Fraction(l) for l in lams])

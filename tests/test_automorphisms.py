@@ -9,7 +9,8 @@ from triality.automorphisms import (ORDER3_BLOCK, FixedSubalgebra, TrialityMap,
                                     killing_form, outer_involution, sigma,
                                     so7_fixed_subalgebra,
                                     verify_bracket_preservation)
-from triality.exact import ConsistencyError, integer_rows, kernel_basis_of_rows, rref
+from triality.exact import (ConsistencyError, format_rational, integer_rows,
+                            kernel_basis_of_rows, rref)
 from triality.so8 import GENERATORS, Generator, So8Element, bracket, random_element
 
 HALF = Fraction(1, 2)
@@ -109,6 +110,57 @@ class TestSigma:
         assert sigma(bracket(x, x)).is_zero()
 
 
+def dense_bracket_preservation(samples: int, seed: int, tmap: TrialityMap,
+                               bound: int = 9) -> dict:
+    """The report of `verify_bracket_preservation` with every pair, generator
+    pairs included, checked through the dense matrix commutator."""
+    violations = 0
+    violating_pairs: list = []
+    counterexample = None
+    basis_elements = [So8Element.from_generator(g) for g in GENERATORS]
+    images = [tmap.apply(b) for b in basis_elements]
+
+    def check(x, sx, y, sy, tag):
+        nonlocal violations, counterexample
+        lhs = tmap.apply(bracket(x, y))
+        rhs = bracket(sx, sy)
+        if lhs != rhs:
+            violations += 1
+            if len(violating_pairs) < 10:
+                violating_pairs.append(tag)
+            if counterexample is None:
+                counterexample = {
+                    "pair": tag,
+                    "image_of_bracket": [format_rational(c) for c in lhs.coeffs],
+                    "bracket_of_images": [format_rational(c) for c in rhs.coeffs],
+                }
+
+    checked = 0
+    for a in range(28):
+        for b in range(28):
+            check(basis_elements[a], images[a], basis_elements[b], images[b],
+                  [GENERATORS[a].label, GENERATORS[b].label])
+            checked += 1
+    for k in range(samples):
+        x = random_element(seed + 2 * k, bound)
+        y = random_element(seed + 2 * k + 1, bound)
+        check(x, tmap.apply(x), y, tmap.apply(y), ["sample", k])
+        checked += 1
+    report = {"check": "bracket_preservation",
+              "status": "pass" if violations == 0 else "fail",
+              "pairs_checked": checked, "violations": violations}
+    if counterexample is not None:
+        report["counterexample"] = counterexample
+        report["violating_pairs"] = violating_pairs
+    return report
+
+
+def _sign_flipped_block(r: int, c: int) -> SquareMatrix:
+    rows = [list(row) for row in ORDER3_BLOCK.rows]
+    rows[r][c] = -rows[r][c]
+    return SquareMatrix(rows)
+
+
 class TestBracketPreservation:
     def test_clean_map_has_no_violations(self):
         report = verify_bracket_preservation(samples=25, seed=42)
@@ -122,6 +174,20 @@ class TestBracketPreservation:
         assert report["status"] == "fail"
         assert report["violations"] > 0
         assert "counterexample" in report
+
+    @pytest.mark.parametrize("flip", [None, "corrupted"]
+                             + [(r, c) for r in range(4) for c in range(4)], ids=str)
+    def test_report_matches_the_dense_route(self, flip):
+        if flip is None:
+            tmap = TrialityMap.standard()
+        elif flip == "corrupted":
+            tmap = TrialityMap.corrupted()
+        else:
+            tmap = TrialityMap(_sign_flipped_block(*flip))
+        report = verify_bracket_preservation(samples=3, seed=42, tmap=tmap)
+        assert report == dense_bracket_preservation(3, 42, tmap)
+        # every sign flip breaks the automorphism, on over a third of the pairs
+        assert (report["violations"] > 28 * 28 / 3) == (flip is not None)
 
     def test_trace_form_preserved(self):
         elems = [So8Element.from_generator(g) for g in GENERATORS]

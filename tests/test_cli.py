@@ -293,3 +293,12 @@ class TestGoldenOutput:
         assert main(argv) == 1
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert digest == "0e77eab054fd76c2c9bb3a1818d7be5a95cecaa5786363f038632d8a7f48de00"
+
+    def test_failing_triality_report_is_byte_identical(self, capsys):
+        # pins the violation count, the violating pairs and the counterexample
+        # of the failing bracket-preservation check
+        argv = ["verify", "--json", "--samples", "3", "--suite", "triality",
+                "--corrupt-constant"]
+        assert main(argv) == 1
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == "19d212521535f2d11722619507b33f7c58f06df867d1c0e27e1a8a746c04e729"

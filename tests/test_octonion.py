@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import NON_CANONICAL_ENTRIES
@@ -192,3 +193,57 @@ class TestSerialization:
     def test_from_json_rejects_non_canonical_forms(self, entry):
         with pytest.raises(ValueError, match="lowest terms"):
             Octonion.from_json(["1"] * 7 + [entry])
+
+
+# coefficients p/q with unrelated denominators, and zeros
+rational_coefficients = st.lists(
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 3))
+    | st.just(Fraction(0)), min_size=8, max_size=8)
+
+
+def reference_product(a, b):
+    """The product of coefficient lists a and b on Fractions, from the table."""
+    out = [Fraction(0)] * 8
+    for i in range(8):
+        for j in range(8):
+            k, s = basis_product(i, j)
+            out[k] += s * a[i] * b[j]
+    return out
+
+
+def assert_holds(x: Octonion, expected) -> None:
+    """x has the Fraction coefficients `expected`, stored as integer
+    numerators over a positive denominator in lowest terms (1 for zero)."""
+    assert x.denominator > 0 and math.gcd(x.denominator, *x.numerators) == 1
+    assert x.coefficients == tuple(expected)
+    assert all(type(c) is Fraction for c in x.coefficients)
+    assert x == Octonion(expected) and hash(x) == hash(Octonion(expected))
+
+
+class TestIntegerForm:
+    """Octonions are stored as 8 integer numerators over one positive
+    denominator in lowest terms; every operation must keep that form and
+    agree with the same operation on Fraction coefficients."""
+
+    @example(a=[Fraction(1, 6)] * 8, b=[Fraction(-1, 6)] * 8, factor=Fraction(0))
+    @given(a=rational_coefficients, b=rational_coefficients,
+           factor=rational_coefficients.map(lambda c: c[0]))
+    def test_operations_match_fraction_reference(self, a, b, factor):
+        x, y = Octonion(a), Octonion(b)
+        assert_holds(x, a)
+        assert_holds(x * y, reference_product(a, b))
+        assert_holds(x + y, [p + q for p, q in zip(a, b)])
+        assert_holds(x - y, [p - q for p, q in zip(a, b)])
+        assert_holds(x - x, [Fraction(0)] * 8)
+        assert_holds(x.scale(factor), [factor * p for p in a])
+        assert_holds(x.conjugate(), [a[0]] + [-p for p in a[1:]])
+        assert x.norm_squared() == sum(p * p for p in a)
+        assert x.real_part() == a[0]
+        assert Octonion.from_json(x.to_json()) == x
+
+    def test_from_integers_reduces(self):
+        x = Octonion.from_integers([2, 4, 0, -6, 8, 10, 12, 14], 4)
+        assert (x.numerators, x.denominator) == ((1, 2, 0, -3, 4, 5, 6, 7), 2)
+        assert x.to_json() == ["1/2", "1", "0", "-3/2", "2", "5/2", "3", "7/2"]
+        zero = Octonion.from_integers([0] * 8, 6)
+        assert (zero.numerators, zero.denominator) == ((0,) * 8, 1)

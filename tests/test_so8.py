@@ -11,7 +11,8 @@ from triality import SquareMatrix
 from triality.automorphisms import TrialityMap, sigma
 from triality.exact import format_rational
 from triality.so8 import (DIMENSION, GENERATORS, Generator, So8Element, bracket,
-                          generator_matrix, quadruples, random_element)
+                          generator_matrix, quadruples, random_element,
+                          structure_constants)
 
 
 def random_elements(count: int, seed: int, bound: int = 9) -> list:
@@ -103,6 +104,40 @@ class TestBracket:
             total = (bracket(x, bracket(y, z)) + bracket(y, bracket(z, x))
                      + bracket(z, bracket(x, y)))
             assert total.is_zero()
+
+
+def index_rule_bracket(i: int, j: int, k: int, l: int) -> dict:
+    """[G_ij, G_kl] = d_jk G_il - d_ik G_jl - d_jl G_ik + d_il G_jk as
+    {(a, b): coefficient} over a < b, with G_ab = -G_ba and G_aa = 0."""
+    out: dict = {}
+    for delta, sign, a, b in ((j == k, 1, i, l), (i == k, -1, j, l),
+                              (j == l, -1, i, k), (i == l, 1, j, k)):
+        if delta and a != b:
+            if a > b:
+                a, b, sign = b, a, -sign
+            out[(a, b)] = out.get((a, b), 0) + sign
+    return {key: c for key, c in out.items() if c}
+
+
+class TestStructureConstants:
+    """The table of single-term generator brackets (c, s), meaning s * G_c."""
+
+    def test_matches_the_index_rule(self):
+        table = structure_constants()
+        assert sum(t is not None for row in table for t in row) == 336
+        for a, x in enumerate(GENERATORS):
+            for b, y in enumerate(GENERATORS):
+                t = table[a][b]
+                got = {} if t is None else {(GENERATORS[t[0]].i, GENERATORS[t[0]].j): t[1]}
+                assert got == index_rule_bracket(x.i, x.j, y.i, y.j), (x, y)
+
+    def test_antisymmetric(self):
+        table = structure_constants()
+        for a in range(DIMENSION):
+            assert table[a][a] is None
+            for b in range(DIMENSION):
+                t = table[b][a]
+                assert table[a][b] == (None if t is None else (t[0], -t[1]))
 
 
 class TestQuadruples:
