@@ -7,8 +7,7 @@ laws of the invariant-polynomial basis (trace powers and the Pfaffian).
 Everything is rational arithmetic; every check is an identity.
 """
 
-from .exact import (ConsistencyError, Polynomial, Rational, SquareMatrix,
-                    format_rational, parse_rational)
+from .exact import ConsistencyError, Rational, SquareMatrix, format_rational
 from .octonion import (FANO_LINES, Octonion, basis_product, inner_product,
                        is_algebra_automorphism, multiplication_table_symbols,
                        rotation_automorphism, rotation_matrix, structure_constants)
@@ -32,8 +31,7 @@ from .verify import RunConfig, SUITES, build_report, report_passed
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConsistencyError", "Polynomial", "Rational", "SquareMatrix",
-    "format_rational", "parse_rational",
+    "ConsistencyError", "Rational", "SquareMatrix", "format_rational",
     "FANO_LINES", "Octonion", "basis_product", "inner_product",
     "is_algebra_automorphism", "multiplication_table_symbols",
     "rotation_automorphism", "rotation_matrix", "structure_constants",

@@ -179,7 +179,6 @@ def verify_bracket_preservation(samples: int, seed: int,
         checked += 1
 
     report = {
-        "check": "bracket_preservation",
         "status": "pass" if violations == 0 else "fail",
         "pairs_checked": checked,
         "violations": violations,

@@ -1,6 +1,6 @@
 """Exact rational linear algebra: dense matrices, characteristic polynomials,
-kernels. Scalars are `fractions.Fraction`; no floating point is used
-anywhere in this package.
+kernels, and the rational vectors of the rest of the package. Scalars are
+`fractions.Fraction`; no floating point is used anywhere in this package.
 
 A `SquareMatrix` stores integer numerators over one positive denominator,
 kept in lowest terms (the gcd of the denominator and all numerators is 1,
@@ -11,6 +11,9 @@ traces and the Faddeev-LeVerrier steps of characteristic polynomials run on
 the integers, and `lowest_terms` reduces each result once. The `Fraction`
 entries (`rows`, indexing) are a view built on first read. JSON is read
 (`read_integer_rows`) and written (`format_numerators`) on the integers too.
+
+`RationalVector` is the same form for a fixed-length vector, the one core
+of so(8) elements and octonions; its `Fraction` view is `coeffs`.
 
 One fraction-free Gauss-Jordan elimination on integer rows, `rref`, serves
 every elimination: determinants, kernels, ranks and `SpanSolver`'s span
@@ -43,16 +46,6 @@ def format_rational(value: Rational) -> str:
     return str(Fraction(value))
 
 
-def parse_rational(text: str) -> Rational:
-    """Parse "p/q" or "p" leniently, as `Fraction` does: unreduced fractions,
-    surrounding spaces and decimals are accepted. Raises ValueError on
-    anything else. JSON input goes through the strict `read_rational`."""
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
-
-
 # exactly the strings `format_rational` emits: no sign on zero, no leading
 # zeros, and a denominator only when it is not 1
 _RATIONAL_STRING = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
@@ -69,11 +62,6 @@ def read_ratio(value: object) -> tuple[int, int]:
         if gcd(p, q) == 1:
             return p, q
     raise ValueError(f'{value!r} is not a rational string "p/q" or "p" in lowest terms')
-
-
-def read_rational(value: object) -> Rational:
-    """A JSON input entry as a `Fraction`; see `read_ratio` for the format."""
-    return Fraction(*read_ratio(value))
 
 
 def read_integer_rows(rows: Iterable[Iterable[object]]) -> tuple[list[list[int]], int]:
@@ -94,43 +82,84 @@ def format_numerators(numerators: Iterable[int], den: int) -> list[str]:
     return out
 
 
-class Polynomial:
-    """Univariate polynomial over the rationals, coefficients indexed by degree."""
+class RationalVector:
+    """Immutable vector of LENGTH rationals: `numerators` (a tuple of
+    integers) over `denominator`, in lowest terms; `coeffs` is the
+    `Fraction` view, built on first read.
 
-    __slots__ = ("coefficients",)
+    A subclass sets LENGTH and NOUN, the plural its length error names.
+    Results of arithmetic have the type of the left operand.
+    """
 
-    def __init__(self, coefficients: Iterable[Rational]):
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coefficients: tuple[Rational, ...] = tuple(coeffs)
+    __slots__ = ("numerators", "denominator", "_coeffs")
+
+    LENGTH: int
+    NOUN: str
+
+    def __init__(self, coeffs: Iterable[Rational]):
+        (num,), den = integer_rows([[Fraction(c) for c in coeffs]])
+        self._assign(num, den)
+
+    @classmethod
+    def from_integers(cls, numerators: Iterable[int], den: int) -> "RationalVector":
+        """The vector numerators[k] / den, reduced to lowest terms."""
+        v = cls.__new__(cls)
+        v._assign(numerators, den)
+        return v
+
+    def _assign(self, numerators: Iterable[int], den: int) -> None:
+        (num,), den = lowest_terms((tuple(numerators),), den)
+        if len(num) != self.LENGTH:
+            raise ValueError(f"{self.NOUN} have {self.LENGTH} coefficients, got {len(num)}")
+        self.numerators: tuple[int, ...] = num
+        self.denominator = den
+        self._coeffs: Optional[tuple[Rational, ...]] = None
+
+    @classmethod
+    def _from_json_list(cls, values: object, what: str) -> "RationalVector":
+        """Read `values`, which must be a JSON list of LENGTH rational strings
+        in the format `read_ratio` accepts; `what` names it in the error."""
+        if not isinstance(values, list) or len(values) != cls.LENGTH:
+            raise ValueError(f"{what} must be a list of {cls.LENGTH} rational strings")
+        (num,), den = read_integer_rows([values])
+        return cls.from_integers(num, den)
 
     @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coefficients) - 1
-
-    def coefficient(self, k: int) -> Rational:
-        if 0 <= k < len(self.coefficients):
-            return self.coefficients[k]
-        return _ZERO
-
-    def __call__(self, x: Rational) -> Rational:
-        acc = _ZERO
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+    def coeffs(self) -> tuple[Rational, ...]:
+        """The coefficients as `Fraction`s, built on first read."""
+        if self._coeffs is None:
+            den = self.denominator
+            self._coeffs = tuple(Fraction(c, den) for c in self.numerators)
+        return self._coeffs
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.coefficients == other.coefficients
+        return self.denominator == other.denominator and self.numerators == other.numerators
 
     def __hash__(self) -> int:
-        return hash(self.coefficients)
+        return hash((self.numerators, self.denominator))
 
-    def __repr__(self) -> str:
-        return f"Polynomial({list(self.coefficients)!r})"
+    def __add__(self, other: "RationalVector") -> "RationalVector":
+        return self._combine(other, add)
+
+    def __sub__(self, other: "RationalVector") -> "RationalVector":
+        return self._combine(other, sub)
+
+    def _combine(self, other: "RationalVector", op) -> "RationalVector":
+        den = lcm(self.denominator, other.denominator)
+        fa = den // self.denominator
+        fb = den // other.denominator
+        return self.from_integers(
+            [op(a * fa, b * fb) for a, b in zip(self.numerators, other.numerators)], den)
+
+    def __neg__(self) -> "RationalVector":
+        return self.from_integers([-a for a in self.numerators], self.denominator)
+
+    def scale(self, factor: Rational) -> "RationalVector":
+        f = Fraction(factor)
+        return self.from_integers([f.numerator * a for a in self.numerators],
+                                  f.denominator * self.denominator)
 
 
 class SquareMatrix:
@@ -276,8 +305,9 @@ class SquareMatrix:
         det = sign * d if len(pivots) == self.dim else 0
         return Fraction(det, self.denominator ** self.dim)
 
-    def char_poly(self) -> Polynomial:
-        """Characteristic polynomial det(self - x*I), exact.
+    def char_poly(self) -> tuple[Rational, ...]:
+        """Characteristic polynomial det(self - x*I), exact, as its n + 1
+        coefficients: entry k is the coefficient of x^k.
 
         Computed with the Faddeev-LeVerrier recursion; the divisions it
         performs are exact over the rationals.
@@ -302,7 +332,7 @@ class SquareMatrix:
         coeffs[n] = sign
         for k, ck in enumerate(cs, start=1):
             coeffs[n - k] = sign * ck
-        return Polynomial(coeffs)
+        return tuple(coeffs)
 
     def kernel_basis(self) -> list[tuple[Rational, ...]]:
         """Basis of the exact null space; empty list iff the matrix is invertible."""

@@ -22,12 +22,8 @@ group of the algebra, reduces to the 64 basis products by bilinearity.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import add, sub
-from typing import Optional, Sequence
 
-from .exact import (ConsistencyError, Rational, SquareMatrix, format_numerators, integer_rows,
-                    lowest_terms, read_integer_rows)
+from .exact import ConsistencyError, Rational, RationalVector, SquareMatrix, format_numerators
 
 
 def _mod7(k: int) -> int:
@@ -101,39 +97,14 @@ def multiplication_table_symbols() -> list[list[str]]:
     return [[("-" if s < 0 else "") + f"e{k}" for (k, s) in row] for row in _TABLE]
 
 
-class Octonion:
-    """An octonion with rational coefficients over (e0, ..., e7), stored like
-    an so(8) element: integer numerators over one positive denominator in
-    lowest terms, with the `Fraction` coefficients a view built on first read."""
+class Octonion(RationalVector):
+    """An octonion: 8 rational coefficients over (e0, ..., e7), in the integer
+    form of `RationalVector`."""
 
-    __slots__ = ("numerators", "denominator", "_coefficients")
+    __slots__ = ()
 
-    def __init__(self, coefficients: Sequence[Rational]):
-        (num,), den = integer_rows([[Fraction(c) for c in coefficients]])
-        self._assign(num, den)
-
-    @classmethod
-    def from_integers(cls, numerators: Sequence[int], den: int) -> "Octonion":
-        """The octonion with coefficients numerators[k] / den, in lowest terms."""
-        x = cls.__new__(cls)
-        x._assign(numerators, den)
-        return x
-
-    def _assign(self, numerators: Sequence[int], den: int) -> None:
-        (num,), den = lowest_terms((tuple(numerators),), den)
-        if len(num) != 8:
-            raise ValueError(f"octonions have 8 coefficients, got {len(num)}")
-        self.numerators: tuple[int, ...] = num
-        self.denominator = den
-        self._coefficients: Optional[tuple[Rational, ...]] = None
-
-    @property
-    def coefficients(self) -> tuple[Rational, ...]:
-        """The coefficients as `Fraction`s, built on first read."""
-        if self._coefficients is None:
-            den = self.denominator
-            self._coefficients = tuple(Fraction(c, den) for c in self.numerators)
-        return self._coefficients
+    LENGTH = 8
+    NOUN = "octonions"
 
     @classmethod
     def one(cls) -> "Octonion":
@@ -145,37 +116,8 @@ class Octonion:
             raise ValueError(f"basis index must lie in 0..7, got {k}")
         return cls.from_integers([1 if i == k else 0 for i in range(8)], 1)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Octonion):
-            return NotImplemented
-        return self.denominator == other.denominator and self.numerators == other.numerators
-
-    def __hash__(self) -> int:
-        return hash((self.numerators, self.denominator))
-
     def __repr__(self) -> str:
-        return f"Octonion({[str(c) for c in self.coefficients]})"
-
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return self._combine(other, add)
-
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        return self._combine(other, sub)
-
-    def _combine(self, other: "Octonion", op) -> "Octonion":
-        den = lcm(self.denominator, other.denominator)
-        fa = den // self.denominator
-        fb = den // other.denominator
-        return Octonion.from_integers(
-            [op(a * fa, b * fb) for a, b in zip(self.numerators, other.numerators)], den)
-
-    def __neg__(self) -> "Octonion":
-        return Octonion.from_integers([-a for a in self.numerators], self.denominator)
-
-    def scale(self, factor: Rational) -> "Octonion":
-        f = Fraction(factor)
-        return Octonion.from_integers([f.numerator * a for a in self.numerators],
-                                      f.denominator * self.denominator)
+        return f"Octonion({[str(c) for c in self.coeffs]})"
 
     def __mul__(self, other: "Octonion") -> "Octonion":
         out = [0] * 8
@@ -202,9 +144,9 @@ class Octonion:
         return format_numerators(self.numerators, self.denominator)
 
     @classmethod
-    def from_json(cls, values: Sequence[str]) -> "Octonion":
-        (num,), den = read_integer_rows([values])
-        return cls.from_integers(num, den)
+    def from_json(cls, values: list) -> "Octonion":
+        """Read a list of 8 rational strings, as `to_json` writes it."""
+        return cls._from_json_list(values, "an octonion")
 
 
 def inner_product(x: Octonion, y: Octonion) -> Rational:

@@ -5,9 +5,10 @@ kills the other basis vectors, so its matrix has +1 at (i,j) and -1 at (j,i).
 Elements carry a dual representation: a 28-vector of coefficients over the
 generators, and the corresponding 8x8 antisymmetric matrix; the two
 round-trip exactly. Both are stored as integer numerators over one positive
-denominator in lowest terms (see `exact`), and an element and its matrix
-share the same denominator; the `Fraction` coefficients (`coeffs`) are a
-view built on first read, and JSON is read and written without it.
+denominator in lowest terms (an element is an `exact.RationalVector`), and
+an element and its matrix share the same denominator; the `Fraction`
+coefficients (`coeffs`) are a view built on first read, and JSON is read
+and written without it.
 
 The 28 generators split into seven 4-element quadruples
 
@@ -25,13 +26,10 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-from operator import add, sub
 from typing import Optional, Sequence
 
-from .exact import (ConsistencyError, Rational, SquareMatrix, format_numerators,
-                    format_rational, integer_rows, lowest_terms, read_integer_rows)
+from .exact import (ConsistencyError, Rational, RationalVector, SquareMatrix,
+                    format_numerators, format_rational, read_integer_rows)
 from .octonion import _mod7
 
 DIMENSION = 28
@@ -67,31 +65,18 @@ def generator_matrix(g: Generator) -> SquareMatrix:
     return SquareMatrix.from_integers(rows, 1)
 
 
-class So8Element:
-    """An so(8) element: 28 coefficients stored as integer numerators over one
-    positive denominator in lowest terms; the `Fraction` coefficients and the
-    matrix are derived lazily."""
+class So8Element(RationalVector):
+    """An so(8) element: 28 coefficients over the generators, as integer
+    numerators over one positive denominator in lowest terms (see
+    `RationalVector`); the matrix is derived lazily."""
 
-    __slots__ = ("numerators", "denominator", "_coeffs", "_matrix")
+    __slots__ = ("_matrix",)
 
-    def __init__(self, coeffs: Sequence[Rational]):
-        (num,), den = integer_rows([[Fraction(c) for c in coeffs]])
-        self._assign(num, den)
-
-    @classmethod
-    def from_integers(cls, numerators: Sequence[int], den: int) -> "So8Element":
-        """The element with coefficients numerators[k] / den, in lowest terms."""
-        element = cls.__new__(cls)
-        element._assign(numerators, den)
-        return element
+    LENGTH = DIMENSION
+    NOUN = "so(8) elements"
 
     def _assign(self, numerators: Sequence[int], den: int) -> None:
-        (num,), den = lowest_terms((tuple(numerators),), den)
-        if len(num) != DIMENSION:
-            raise ValueError(f"so(8) elements have {DIMENSION} coefficients, got {len(num)}")
-        self.numerators: tuple[int, ...] = num
-        self.denominator = den
-        self._coeffs: Optional[tuple[Rational, ...]] = None
+        super()._assign(numerators, den)
         self._matrix: Optional[SquareMatrix] = None
 
     @classmethod
@@ -121,14 +106,6 @@ class So8Element:
         return element
 
     @property
-    def coeffs(self) -> tuple[Rational, ...]:
-        """The coefficients as `Fraction`s, built on first read."""
-        if self._coeffs is None:
-            den = self.denominator
-            self._coeffs = tuple(Fraction(c, den) for c in self.numerators)
-        return self._coeffs
-
-    @property
     def matrix(self) -> SquareMatrix:
         if self._matrix is None:
             rows = [[0] * 8 for _ in range(8)]
@@ -144,38 +121,9 @@ class So8Element:
     def is_zero(self) -> bool:
         return not any(self.numerators)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, So8Element):
-            return NotImplemented
-        return self.denominator == other.denominator and self.numerators == other.numerators
-
-    def __hash__(self) -> int:
-        return hash((self.numerators, self.denominator))
-
     def __repr__(self) -> str:
         terms = [f"{c}*{g.label}" for g, c in zip(GENERATORS, self.coeffs) if c != 0]
         return "So8Element(" + (" + ".join(terms) if terms else "0") + ")"
-
-    def __add__(self, other: "So8Element") -> "So8Element":
-        return self._combine(other, add)
-
-    def __sub__(self, other: "So8Element") -> "So8Element":
-        return self._combine(other, sub)
-
-    def _combine(self, other: "So8Element", op) -> "So8Element":
-        den = lcm(self.denominator, other.denominator)
-        fa = den // self.denominator
-        fb = den // other.denominator
-        return So8Element.from_integers(
-            [op(a * fa, b * fb) for a, b in zip(self.numerators, other.numerators)], den)
-
-    def __neg__(self) -> "So8Element":
-        return So8Element.from_integers([-a for a in self.numerators], self.denominator)
-
-    def scale(self, factor: Rational) -> "So8Element":
-        f = Fraction(factor)
-        return So8Element.from_integers([f.numerator * a for a in self.numerators],
-                                        f.denominator * self.denominator)
 
     def to_json(self, encoding: str = "both") -> dict:
         out: dict = {}
@@ -195,11 +143,7 @@ class So8Element:
         from_coeffs = None
         from_mat = None
         if "coeffs" in obj:
-            values = obj["coeffs"]
-            if not isinstance(values, list) or len(values) != DIMENSION:
-                raise ValueError(f"'coeffs' must be a list of {DIMENSION} rational strings")
-            (num,), den = read_integer_rows([values])
-            from_coeffs = cls.from_integers(num, den)
+            from_coeffs = cls._from_json_list(obj["coeffs"], "'coeffs'")
         if "matrix" in obj:
             rows = obj["matrix"]
             if (not isinstance(rows, list) or len(rows) != 8

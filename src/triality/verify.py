@@ -63,7 +63,7 @@ def build_report(cfg: RunConfig) -> list[dict]:
     add("triality", "triality.block_identities", lambda: _check_block(tmap))
     add("triality", "triality.order_three", lambda: _check_order_three(tmap))
     add("triality", "triality.bracket_preservation",
-        lambda: _check_bracket_preservation(cfg, tmap))
+        lambda: automorphisms.verify_bracket_preservation(cfg.samples, cfg.seed, tmap, cfg.bound))
     add("triality", "triality.fixed_dims", lambda: _check_fixed_dims(tmap))
     add("triality", "triality.trace_form", lambda: _check_trace_form(tmap))
 
@@ -271,12 +271,19 @@ def _check_bracket_antisymmetry() -> dict:
 
 def _check_block(tmap: automorphisms.TrialityMap) -> dict:
     b = tmap.block
-    square_is_transpose = (b * b) == b.transpose()
+    square, transpose = b * b, b.transpose()
+    square_is_transpose = square == transpose
     cube_is_identity = b.power(3) == SquareMatrix.identity(4)
     ok = square_is_transpose and cube_is_identity
-    return {"status": "pass" if ok else "fail",
-            "square_is_transpose": square_is_transpose,
-            "cube_is_identity": cube_is_identity}
+    entry = {"status": "pass" if ok else "fail",
+             "square_is_transpose": square_is_transpose,
+             "cube_is_identity": cube_is_identity}
+    if not square_is_transpose:
+        i, j = next((i, j) for i in range(4) for j in range(4)
+                    if square[i][j] != transpose[i][j])
+        entry["counterexample"] = {"entry": [i, j], "square": format_rational(square[i][j]),
+                                   "transpose": format_rational(transpose[i][j])}
+    return entry
 
 
 def _check_order_three(tmap: automorphisms.TrialityMap) -> dict:
@@ -295,12 +302,6 @@ def _check_order_three(tmap: automorphisms.TrialityMap) -> dict:
     if basis_ok is not None:
         entry["counterexample"] = {"generator": basis_ok}
     return entry
-
-
-def _check_bracket_preservation(cfg: RunConfig, tmap) -> dict:
-    report = automorphisms.verify_bracket_preservation(cfg.samples, cfg.seed, tmap, cfg.bound)
-    report.pop("check", None)
-    return report
 
 
 def _check_fixed_dims(tmap: automorphisms.TrialityMap) -> dict:

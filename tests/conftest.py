@@ -21,7 +21,7 @@ def child_pythonpath():
         yield
 
 
-# entries `parse_rational` accepts but the JSON readers must reject: an
+# entries `Fraction` accepts but the JSON readers must reject: an
 # unreduced fraction, spaces, an exponent, a decimal, a JSON number, and the
 # spellings `format_rational` never writes (a signed zero, leading zeros in a
 # numerator or a denominator, and a denominator of 1)

@@ -146,8 +146,7 @@ def dense_bracket_preservation(samples: int, seed: int, tmap: TrialityMap,
         y = random_element(seed + 2 * k + 1, bound)
         check(x, tmap.apply(x), y, tmap.apply(y), ["sample", k])
         checked += 1
-    report = {"check": "bracket_preservation",
-              "status": "pass" if violations == 0 else "fail",
+    report = {"status": "pass" if violations == 0 else "fail",
               "pairs_checked": checked, "violations": violations}
     if counterexample is not None:
         report["counterexample"] = counterexample

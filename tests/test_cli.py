@@ -64,8 +64,8 @@ class TestVerifyCommand:
         witnesses = {lines[i - 1].split()[1]: line
                      for i, line in enumerate(lines) if line.startswith("  ")}
         assert witnesses == expected
-        assert {"triality.order_three", "triality.bracket_preservation",
-                "triality.fixed_dims"} <= set(expected)
+        assert {"triality.block_identities", "triality.order_three",
+                "triality.bracket_preservation", "triality.fixed_dims"} <= set(expected)
 
     def test_usage_errors_exit_two(self):
         assert run_cli("verify", "--samples", "0").returncode == 2
@@ -252,6 +252,8 @@ GOLDEN_SHA256 = {
         "acc26a6b8345bcac4ea5b6761a69417e15ac95ae7f26767f6857ebcbb884dfba",
     ("verify", "--json", "--samples", "3", "--seed", "42"):
         "17edb59f7964529fb9e7930a5b732c3e29f60e0178cf0daf82a204778340d02b",
+    ("verify",):
+        "8f881f8ffa3d9eb3575ebd43f3c809dbfb51bf3107c5f2a429134747793bf0ce",
 }
 
 
@@ -274,7 +276,8 @@ def _rational_element(tmp_path):
 
 
 class TestGoldenOutput:
-    @pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256), ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256),
+                             ids=lambda argv: argv[0] + ("" if "--json" in argv else "-text"))
     def test_output_is_byte_identical(self, argv, capsys):
         assert main(list(argv)) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
@@ -296,9 +299,9 @@ class TestGoldenOutput:
 
     def test_failing_triality_report_is_byte_identical(self, capsys):
         # pins the violation count, the violating pairs and the counterexample
-        # of the failing bracket-preservation check
+        # of the failing bracket-preservation check, and the block witness
         argv = ["verify", "--json", "--samples", "3", "--suite", "triality",
                 "--corrupt-constant"]
         assert main(argv) == 1
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-        assert digest == "19d212521535f2d11722619507b33f7c58f06df867d1c0e27e1a8a746c04e729"
+        assert digest == "1161c556d2441bc5beca12e4adc618f183abc1e2e0821d8502ef2be108d22448"

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -8,9 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import NON_CANONICAL_ENTRIES
-from triality.exact import (Polynomial, SpanSolver, SquareMatrix, format_rational,
-                            integer_rows, kernel_basis_of_rows, parse_rational,
-                            primitive_integer_vector, read_rational)
+from triality.exact import (SpanSolver, SquareMatrix, format_rational, integer_rows,
+                            kernel_basis_of_rows, primitive_integer_vector, read_ratio)
 from triality.invariants import pfaffian_matchings, pfaffian_permutation_sum
 from triality.so8 import DIMENSION, So8Element
 
@@ -44,35 +44,26 @@ class TestRationals:
     @given(a=rationals)
     def test_string_roundtrip(self, a):
         text = format_rational(a)
-        assert parse_rational(text) == a
+        assert Fraction(*read_ratio(text)) == a
         # canonical: lowest terms, no spaces, denominator omitted when 1
         assert " " not in text
         if a.denominator == 1:
             assert "/" not in text
 
-    def test_parse_rejects_garbage(self):
-        for bad in ("", "1/0", "x", "1.5.2", "--3"):
-            with pytest.raises(ValueError):
-                parse_rational(bad)
-
-    def test_parse_accepts_decimal_free_forms(self):
-        assert parse_rational("-3/9") == Fraction(-1, 3)
-        assert parse_rational("7") == 7
-
     def test_read_accepts_canonical_strings(self):
-        assert read_rational("-3/7") == Fraction(-3, 7)
-        assert read_rational("0") == 0
-        assert read_rational("12") == 12
+        assert read_ratio("-3/7") == (-3, 7)
+        assert read_ratio("0") == (0, 1)
+        assert read_ratio("12") == (12, 1)
 
     @given(a=rationals)
     def test_read_accepts_every_formatted_string(self, a):
-        assert read_rational(format_rational(a)) == a
+        assert read_ratio(format_rational(a)) == (a.numerator, a.denominator)
 
     @given(text=st.from_regex(r"-?[0-9]{1,4}(/[0-9]{1,4})?", fullmatch=True)
            | st.text(alphabet="-/0123456789 .e", max_size=8))
     def test_read_is_the_inverse_of_format(self, text):
         try:
-            value = read_rational(text)
+            value = Fraction(*read_ratio(text))
         except ValueError:
             return
         assert format_rational(value) == text
@@ -80,7 +71,7 @@ class TestRationals:
     @pytest.mark.parametrize("entry", NON_CANONICAL_ENTRIES)
     def test_read_rejects_non_canonical_forms(self, entry):
         with pytest.raises(ValueError, match="lowest terms"):
-            read_rational(entry)
+            read_ratio(entry)
 
     @pytest.mark.parametrize("entry", NON_CANONICAL_ENTRIES)
     def test_matrix_from_json_rejects_non_canonical_forms(self, entry):
@@ -88,23 +79,6 @@ class TestRationals:
             SquareMatrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
         with pytest.raises(ValueError, match="lowest terms"):
             SquareMatrix.from_json([["0", entry], ["-1/2", "0"]])
-
-
-class TestPolynomial:
-    def test_trailing_zeros_stripped(self):
-        p = Polynomial([1, 2, 0, 0])
-        assert p.degree == 1
-        assert p.coefficients == (1, 2)
-
-    def test_zero_polynomial(self):
-        assert Polynomial([0, 0]).degree == -1
-        assert Polynomial([]).coefficients == ()
-
-    def test_evaluation(self):
-        p = Polynomial([Fraction(1), Fraction(-2), Fraction(1)])  # (1-x)^2
-        assert p(Fraction(1)) == 0
-        assert p(Fraction(3)) == 4
-        assert p.coefficient(5) == 0
 
 
 class TestMatrixBasics:
@@ -161,15 +135,21 @@ class TestDeterminant:
             assert (a * b).determinant() == a.determinant() * b.determinant()
 
 
+def evaluate(coefficients, x):
+    """The polynomial with coefficients[k] the coefficient of x^k, at x (Horner)."""
+    return functools.reduce(lambda acc, c: acc * x + c, reversed(coefficients), Fraction(0))
+
+
 class TestCharPoly:
     def test_zero_matrix(self):
         cp = SquareMatrix.zero(8).char_poly()
-        assert cp.coefficients == (0, 0, 0, 0, 0, 0, 0, 0, 1)
+        assert cp == (0, 0, 0, 0, 0, 0, 0, 0, 1)
 
     def test_identity_two(self):
         # det(I - x I) = (1 - x)^2
         cp = SquareMatrix.identity(2).char_poly()
-        assert cp == Polynomial([1, -2, 1])
+        assert cp == (1, -2, 1)
+        assert all(type(c) is Fraction for c in cp)
 
     def test_block_spectrum(self):
         # det(B - x I) = prod(x^2 + l^2) for the antisymmetric block model;
@@ -180,7 +160,7 @@ class TestCharPoly:
             rows[2 * t][2 * t + 1] = Fraction(lam)
             rows[2 * t + 1][2 * t] = Fraction(-lam)
         cp = SquareMatrix(rows).char_poly()
-        assert cp.coefficients == (576, 0, 820, 0, 273, 0, 30, 0, 1)
+        assert cp == (576, 0, 820, 0, 273, 0, 30, 0, 1)
 
     def test_agrees_with_determinant_route(self):
         rng = random.Random(11)
@@ -189,16 +169,16 @@ class TestCharPoly:
                               for _ in range(6)])
             r = Fraction(rng.randint(-7, 7), rng.randint(1, 4))
             shifted = a - SquareMatrix.identity(6).scale(r)
-            assert a.char_poly()(r) == shifted.determinant()
+            assert evaluate(a.char_poly(), r) == shifted.determinant()
 
     def test_rational_roots_match_kernels(self):
         a = SquareMatrix([[2, 1, 0], [0, 3, 0], [0, 0, 2]])
         cp = a.char_poly()
         for r in (Fraction(2), Fraction(3)):
-            assert cp(r) == 0
+            assert evaluate(cp, r) == 0
             assert (a - SquareMatrix.identity(3).scale(r)).kernel_basis()
         for r in (Fraction(5), Fraction(1, 2)):
-            assert cp(r) != 0
+            assert evaluate(cp, r) != 0
             assert not (a - SquareMatrix.identity(3).scale(r)).kernel_basis()
 
 

@@ -130,7 +130,7 @@ class TestSpectral:
         # det(M - x*I) = x^8 + e1 x^6 + e2 x^4 + e3 x^2 + e4 for antisymmetric M
         m = So8Element(coeffs)
         cp = m.matrix.char_poly()
-        expected = (cp.coefficient(6), cp.coefficient(4), cp.coefficient(2), cp.coefficient(0))
+        expected = (cp[6], cp[4], cp[2], cp[0])
         assert spectral_coefficients(m).as_tuple() == expected
 
 

@@ -141,7 +141,7 @@ class TestRotation:
 
     def test_preserves_inner_products(self):
         m = rotation_matrix()
-        images = [Octonion(m.apply(Octonion.basis(k).coefficients)) for k in range(8)]
+        images = [Octonion(m.apply(Octonion.basis(k).coeffs)) for k in range(8)]
         for i in range(8):
             for j in range(8):
                 assert inner_product(images[i], images[j]) == \
@@ -194,6 +194,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="lowest terms"):
             Octonion.from_json(["1"] * 7 + [entry])
 
+    @pytest.mark.parametrize("value", ["12345678", {str(k): "0" for k in range(1, 9)},
+                                       ["1"] * 7, ["1"] * 9, None])
+    def test_from_json_needs_a_list_of_eight(self, value):
+        # a string or an object of length 8 is no octonion, even though its
+        # characters or keys would read as rational strings
+        with pytest.raises(ValueError, match="list of 8 rational strings"):
+            Octonion.from_json(value)
+
 
 # coefficients p/q with unrelated denominators, and zeros
 rational_coefficients = st.lists(
@@ -215,8 +223,8 @@ def assert_holds(x: Octonion, expected) -> None:
     """x has the Fraction coefficients `expected`, stored as integer
     numerators over a positive denominator in lowest terms (1 for zero)."""
     assert x.denominator > 0 and math.gcd(x.denominator, *x.numerators) == 1
-    assert x.coefficients == tuple(expected)
-    assert all(type(c) is Fraction for c in x.coefficients)
+    assert x.coeffs == tuple(expected)
+    assert all(type(c) is Fraction for c in x.coeffs)
     assert x == Octonion(expected) and hash(x) == hash(Octonion(expected))
 
 
