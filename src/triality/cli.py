@@ -117,8 +117,10 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
             extra = f" (pairs={entry['pairs_checked']})"
         lines.append(f"{label} {entry['check_id']}{extra}")
         if status == "fail":
-            for key in ("counterexample", "error"):
-                if key in entry:
+            # the first evidence the entry carries; a failing informational
+            # entry carries only its witness
+            for key in ("counterexample", "error", "witness"):
+                if entry.get(key) is not None:
                     lines.append("  " + json.dumps(entry[key], sort_keys=True))
                     break
     n_fail = sum(1 for e in checks if e["status"] == "fail")

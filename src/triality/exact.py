@@ -72,6 +72,15 @@ def read_integer_rows(rows: Iterable[Iterable[object]]) -> tuple[list[list[int]]
     return [[p * (den // q) for p, q in row] for row in ratios], den
 
 
+def is_square_table(rows: object, n: Optional[int] = None) -> bool:
+    """Whether `rows` is a JSON array of n arrays of n entries, n >= 1; n
+    defaults to the number of rows."""
+    if not isinstance(rows, list) or not rows:
+        return False
+    n = len(rows) if n is None else n
+    return len(rows) == n and all(isinstance(row, list) and len(row) == n for row in rows)
+
+
 def format_numerators(numerators: Iterable[int], den: int) -> list[str]:
     """`format_rational(n / den)` for each n, with one gcd per entry and no
     `Fraction`."""
@@ -343,6 +352,9 @@ class SquareMatrix:
 
     @classmethod
     def from_json(cls, rows: Sequence[Sequence[str]]) -> "SquareMatrix":
+        """Read a JSON array of n arrays of n rational strings (see `read_ratio`)."""
+        if not is_square_table(rows):
+            raise ValueError("a matrix must be an n x n array of rational strings")
         return cls.from_integers(*read_integer_rows(rows))
 
 

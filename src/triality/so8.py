@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exact import (ConsistencyError, Rational, RationalVector, SquareMatrix,
-                    format_numerators, format_rational, read_integer_rows)
+                    format_numerators, format_rational, is_square_table)
 from .octonion import _mod7
 
 DIMENSION = 28
@@ -145,11 +145,9 @@ class So8Element(RationalVector):
         if "coeffs" in obj:
             from_coeffs = cls._from_json_list(obj["coeffs"], "'coeffs'")
         if "matrix" in obj:
-            rows = obj["matrix"]
-            if (not isinstance(rows, list) or len(rows) != 8
-                    or any(not isinstance(r, list) or len(r) != 8 for r in rows)):
+            if not is_square_table(obj["matrix"], 8):
                 raise ValueError("'matrix' must be an 8x8 array of rational strings")
-            from_mat = cls.from_matrix(SquareMatrix.from_integers(*read_integer_rows(rows)))
+            from_mat = cls.from_matrix(SquareMatrix.from_json(obj["matrix"]))
         if from_coeffs is not None and from_mat is not None:
             if from_coeffs != from_mat:
                 raise ValueError("'coeffs' and 'matrix' encodings disagree")
@@ -167,12 +165,24 @@ def bracket(x: So8Element, y: So8Element) -> So8Element:
     return So8Element.from_matrix(a * b - b * a)
 
 
+def _index_rule(x: Generator, y: Generator) -> Optional[tuple[int, int]]:
+    """[G_ij, G_kl] = d_jk G_il - d_ik G_jl - d_jl G_ik + d_il G_jk as its
+    single term (c, s), s * G_c, or None when it is zero. Two generators
+    share at most one index unless equal, and G_aa = 0, so at most one term
+    survives; G_ab with a > b is -G_ba."""
+    for hit, s, a, b in ((x.j == y.i, 1, x.i, y.j), (x.i == y.i, -1, x.j, y.j),
+                         (x.j == y.j, -1, x.i, y.i), (x.i == y.j, 1, x.j, y.i)):
+        if hit and a != b:
+            return GENERATOR_INDEX[Generator(min(a, b), max(a, b))], (s if a < b else -s)
+    return None
+
+
 @functools.cache
 def structure_constants() -> tuple[tuple[Optional[tuple[int, int]], ...], ...]:
     """The bracket on generators: entry [a][b] is (c, s) when [G_a, G_b] = s * G_c
     and None when it is zero, indices into GENERATORS. Each of the 784 brackets
     is the matrix commutator, formed once; one that is not zero or a single
-    +-1 generator raises."""
+    +-1 generator, or that differs from the index rule of `_index_rule`, raises."""
     elements = [So8Element.from_generator(g) for g in GENERATORS]
     table = []
     for a, x in enumerate(elements):
@@ -183,7 +193,11 @@ def structure_constants() -> tuple[tuple[Optional[tuple[int, int]], ...], ...]:
             if len(terms) > 1 or z.denominator != 1 or any(s not in (1, -1) for _, s in terms):
                 raise ConsistencyError(f"[{GENERATORS[a].label}, {GENERATORS[b].label}] "
                                        "is not a single signed generator")
-            row.append(terms[0] if terms else None)
+            entry = terms[0] if terms else None
+            if entry != _index_rule(GENERATORS[a], GENERATORS[b]):
+                raise ConsistencyError(f"[{GENERATORS[a].label}, {GENERATORS[b].label}] "
+                                       "disagrees with the index rule")
+            row.append(entry)
         table.append(tuple(row))
     return tuple(table)
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from triality import cli
+from triality import cli, invariants
 from triality.cli import main
 from triality.invariants import (canonical_block_element, invariant_vector,
                                  sigma_transform_invariants)
@@ -66,6 +66,20 @@ class TestVerifyCommand:
         assert witnesses == expected
         assert {"triality.block_identities", "triality.order_three",
                 "triality.bracket_preservation", "triality.fixed_dims"} <= set(expected)
+
+    def test_text_prints_the_witness_of_a_failing_discrepancy(self, capsys, monkeypatch):
+        # a candidate equal to the derived form leaves nothing to tell apart
+        monkeypatch.setattr(invariants, "candidate_eta4_coefficient",
+                            lambda v: invariants.newton_coefficients(v).e2)
+        argv = ["verify", "--suite", "invariants", "--samples", "1"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--json"]) == 1
+        entry = [e for e in json.loads(capsys.readouterr().out)["checks"]
+                 if e["check_id"] == "invariants.eta4_coefficient_discrepancy"][0]
+        assert entry["status"] == "fail" and "counterexample" not in entry
+        at = lines.index("FAIL invariants.eta4_coefficient_discrepancy")
+        assert lines[at + 1] == "  " + json.dumps(entry["witness"], sort_keys=True)
 
     def test_usage_errors_exit_two(self):
         assert run_cli("verify", "--samples", "0").returncode == 2

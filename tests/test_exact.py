@@ -81,6 +81,18 @@ class TestRationals:
             SquareMatrix.from_json([["0", entry], ["-1/2", "0"]])
 
 
+    @pytest.mark.parametrize("rows", [
+        ["12", "34"],                    # string rows
+        {"a": "1"},                      # not an array
+        [["1", "2"], ["3"]],             # ragged
+        [["1", "2"], ["3", "4"], ["5", "6"]],  # not square
+        [],
+    ])
+    def test_matrix_from_json_needs_n_arrays_of_n(self, rows):
+        with pytest.raises(ValueError, match="n x n array"):
+            SquareMatrix.from_json(rows)
+
+
 class TestMatrixBasics:
     def test_identity_multiplication(self):
         rng = random.Random(0)

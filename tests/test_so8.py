@@ -215,6 +215,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             So8Element.from_json({"matrix": [["0"] * 7] * 8})
 
+    @pytest.mark.parametrize("matrix", [
+        ["0" * 8] * 8,                   # string rows
+        {str(i): ["0"] * 8 for i in range(8)},
+        [["0"] * 8] * 7 + [["0"] * 7],   # ragged
+        [["0"] * 4] * 4,                 # square, but not 8x8
+    ])
+    def test_matrix_needs_eight_arrays_of_eight(self, matrix):
+        with pytest.raises(ValueError, match="'matrix' must be an 8x8 array of rational strings"):
+            So8Element.from_json({"matrix": matrix})
+
     @pytest.mark.parametrize("entry", NON_CANONICAL_ENTRIES)
     def test_rejects_non_canonical_forms(self, entry):
         coeffs = ["0"] * DIMENSION

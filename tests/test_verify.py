@@ -1,6 +1,11 @@
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
-from triality import automorphisms, invariants, verify
+from triality import automorphisms, invariants, octonion, so8, verify
+from triality.exact import ConsistencyError, SquareMatrix
 from triality.verify import RunConfig, SUITES, build_report, report_passed
 
 SMALL = RunConfig(samples=3, seed=42)
@@ -107,3 +112,236 @@ class TestReport:
         entries = build_report(RunConfig(samples=2, bound=1, suite="triality"))
         assert report_passed(entries)
         assert bounds == [1] * 4
+
+
+# ---------------------------------------------------------------------------
+# Failure paths: each case breaks one library function and pins which checks
+# catch it. A check that still passed would be reading the broken function on
+# its oracle side too, so each listed failure shows the function is not an
+# oracle of that check.
+# ---------------------------------------------------------------------------
+
+# the cached tables a perturbation can poison, as imported (a case may replace
+# the module attribute itself)
+_CACHED = (so8.structure_constants, automorphisms._fixed_locus)
+
+
+def _shifted(monkeypatch, owner, name, change):
+    """Replace owner.name by a function that applies `change` to its result."""
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: change(original(*args)))
+
+
+def _octonion_table_entry(monkeypatch):
+    table = [list(row) for row in octonion.structure_constants()]
+    table[5][2] = (3, -1)
+    monkeypatch.setattr(octonion, "_TABLE", tuple(map(tuple, table)))
+
+
+def _rotation_matrix(monkeypatch):
+    # the images of e3 and e5 swapped
+    rows = [list(row) for row in octonion.rotation_matrix().numerators]
+    for row in rows:
+        row[3], row[5] = row[5], row[3]
+    wrong = SquareMatrix.from_integers(rows, 1)
+    monkeypatch.setattr(octonion, "rotation_matrix", lambda: wrong)
+
+
+def _fano_lines(monkeypatch):
+    monkeypatch.setattr(octonion, "FANO_LINES", ((1, 2, 5),) + octonion.FANO_LINES[1:])
+
+
+def _norm_squared(monkeypatch):
+    _shifted(monkeypatch, octonion.Octonion, "norm_squared", lambda n: n + 1)
+
+
+def _from_matrix(monkeypatch):
+    original = so8.So8Element.from_matrix
+    monkeypatch.setattr(so8.So8Element, "from_matrix",
+                        classmethod(lambda cls, m: original(m).scale(2)))
+
+
+def _zero_bracket(monkeypatch):
+    for module in (so8, automorphisms):
+        monkeypatch.setattr(module, "bracket", lambda x, y: so8.So8Element.zero())
+
+
+def _quadruples(monkeypatch):
+    _shifted(monkeypatch, so8, "quadruples", lambda quads: tuple(reversed(quads)))
+
+
+def _structure_table_sign(monkeypatch):
+    # [G(0,1), G(1,2)] = G(0,2) recorded as -G(0,2)
+    table = [list(row) for row in so8.structure_constants()]
+    c, s = table[0][7]
+    table[0][7] = (c, -s)
+    table = tuple(map(tuple, table))
+    monkeypatch.setattr(so8, "structure_constants", lambda: table)
+    monkeypatch.setattr(automorphisms, "so8_structure_constants", lambda: table)
+
+
+def _t_matrix(monkeypatch):
+    rows = [list(row) for row in invariants.T_MATRIX.rows]
+    rows[1][2] = -rows[1][2]
+    monkeypatch.setattr(invariants, "T_MATRIX", SquareMatrix(rows))
+
+
+def _c3_coefficients(monkeypatch):
+    monkeypatch.setattr(invariants, "C3_COEFFICIENTS", invariants.CANDIDATE_C3_COEFFICIENTS)
+
+
+def _eta4_candidate(monkeypatch):
+    monkeypatch.setattr(invariants, "candidate_eta4_coefficient",
+                        lambda v: invariants.newton_coefficients(v).e2)
+
+
+def _eta2_candidate(monkeypatch):
+    monkeypatch.setattr(invariants, "candidate_eta2_coefficient",
+                        lambda v: -invariants.newton_coefficients(v).e3)
+
+
+def _pfaffian_permutation_sum(monkeypatch):
+    _shifted(monkeypatch, invariants, "pfaffian_permutation_sum", lambda pf: pf + 1)
+
+
+def _spectral_coefficients(monkeypatch):
+    _shifted(monkeypatch, invariants, "spectral_coefficients",
+             lambda e: dataclasses.replace(e, e2=e.e2 + 1))
+
+
+def _product_trace(monkeypatch):
+    # an off-by-one range: the last row and column are left out
+    def product_trace(self, other):
+        return sum(self[i][j] * other[j][i] for i in range(7) for j in range(7))
+
+    monkeypatch.setattr(SquareMatrix, "product_trace", product_trace)
+
+
+def _fixed_subalgebra(monkeypatch):
+    def raising(*args, **kwargs):
+        raise ConsistencyError("fixed locus construction failed")
+
+    monkeypatch.setattr(automorphisms, "fixed_subalgebra", raising)
+
+
+def _sigma_transform_invariants(monkeypatch):
+    _shifted(monkeypatch, invariants, "sigma_transform_invariants",
+             lambda v: dataclasses.replace(v, p2=v.p2 + 1))
+
+
+def _newton_coefficients(monkeypatch):
+    _shifted(monkeypatch, invariants, "newton_coefficients",
+             lambda e: dataclasses.replace(e, e3=e.e3 + 1))
+
+
+FAILURE_PATHS = [
+    pytest.param(_octonion_table_entry,
+                 ["octonion.table_rules",
+                  "octonion.rotation_automorphism",
+                  "octonion.norm_composition"],
+                 "3084eb118b43a36903308ed6beb1d6c7374e3ad6a6b4214836494b9fc214f38d",
+                 id="octonion_table_entry"),
+    pytest.param(_rotation_matrix,
+                 ["octonion.rotation_automorphism"],
+                 "c9d7ec30a9997c4b8ee20955d280441dc18120364f4858343d21c9621e6800e9",
+                 id="rotation_matrix"),
+    pytest.param(_fano_lines,
+                 ["octonion.quaternion_lines"],
+                 "fca3e0c7dacf9ec6f5e91e3934460301021f2d9e575cf8bfcd479a5e60071b12",
+                 id="fano_lines"),
+    pytest.param(_norm_squared,
+                 ["octonion.norm_composition"],
+                 "458b23e12427363a0801b099c11f6d7c685295812c476002f394b4021ff2c882",
+                 id="norm_squared"),
+    pytest.param(_from_matrix,
+                 ["so8.dimension_roundtrip",
+                  "so8.bracket_antisymmetry",
+                  "triality.bracket_preservation",
+                  "invariants.pfaffian_consistency"],
+                 "165e06019070b93b6b6856242c41f8cd9e0496c1f9975b53d32cef82737901dd",
+                 id="from_matrix"),
+    pytest.param(_zero_bracket,
+                 ["so8.bracket_antisymmetry",
+                  "triality.bracket_preservation"],
+                 "b86fa819674e35d62acc90672327be5f7b146844a1cbf9a3666735188eca7494",
+                 id="zero_bracket"),
+    pytest.param(_quadruples,
+                 ["so8.quadruple_partition"],
+                 "34e50034cbbdaa229fe6483902c481edaa43556c7c595c388fe486aa6daa6308",
+                 id="quadruples"),
+    pytest.param(_structure_table_sign,
+                 ["so8.bracket_antisymmetry",
+                  "triality.bracket_preservation"],
+                 "94beefb2d7232dafebe18c2f64e85a9dab380a3a310181804821f9fe3c7df7fc",
+                 id="structure_table_sign"),
+    pytest.param(_t_matrix,
+                 ["invariants.t_matrix"],
+                 "9da5d6fa7f639f1b05785360f272eabd0fdcea1f310cd08a197ee90d5cc5b0ca",
+                 id="t_matrix"),
+    pytest.param(_c3_coefficients,
+                 ["invariants.g2_locus",
+                  "invariants.c3_model",
+                  "invariants.c3_coefficient_discrepancy"],
+                 "b2ae674049908aa22d5aa64a176c546fa98887b4c7dd965da1acdf31139cc60b",
+                 id="c3_coefficients"),
+    pytest.param(_eta4_candidate,
+                 ["invariants.eta4_coefficient_discrepancy"],
+                 "b4e73ee558074ccdf7132bf24e3ab4c348ca230061b57518c824ae07ad0efc92",
+                 id="eta4_candidate"),
+    pytest.param(_eta2_candidate,
+                 ["invariants.eta2_coefficient_discrepancy"],
+                 "0017afc5f4173b35cd67cf0dc7c4143c9c5d27f9fa582fd5c6d82f552ba4c141",
+                 id="eta2_candidate"),
+    pytest.param(_pfaffian_permutation_sum,
+                 ["invariants.pfaffian_consistency"],
+                 "52934410a806ee3dd425fd3ed47d6e7e849624b4fcbe2fe5e487beb9ca5b97fc",
+                 id="pfaffian_permutation_sum"),
+    pytest.param(_spectral_coefficients,
+                 ["invariants.newton_oracle",
+                  "invariants.g2_locus",
+                  "invariants.eta4_coefficient_discrepancy"],
+                 "e09d2b6ce499c0a08250b5b99f9222f36ed211eff017ac1dc8db6999569ec4f4",
+                 id="spectral_coefficients"),
+    pytest.param(_product_trace,
+                 ["triality.trace_form"],
+                 "47c2188a70e610dd5cd4e7ce8e2a199de36287343f80a8f0ed60a1e73aeba41b",
+                 id="product_trace"),
+    pytest.param(_fixed_subalgebra,
+                 ["triality.fixed_dims",
+                  "invariants.g2_locus",
+                  "invariants.g2_trace_ratio_discrepancy"],
+                 "146855606efb4e8f87245bcf420e0a1d852edff4c89a0b237441721bede7983b",
+                 id="fixed_subalgebra"),
+    pytest.param(_sigma_transform_invariants,
+                 ["invariants.transformation_law",
+                  "invariants.transformation_order_three"],
+                 "d36343415ada5338fe25e6b2e0c8db5cd6abe0f5afa764775b3aebc99e858417",
+                 id="sigma_transform_invariants"),
+    pytest.param(_newton_coefficients,
+                 ["invariants.newton_oracle",
+                  "invariants.eta2_coefficient_discrepancy"],
+                 "97444d4a3941e9af95734b0b37feaf7507369723a9f62e419a52fc1c8685bc3d",
+                 id="newton_coefficients"),
+]
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the cached structure tables before and after the test, so that a
+    table built under a perturbation reaches no other test."""
+    for cached in _CACHED:
+        cached.cache_clear()
+    yield
+    for cached in _CACHED:
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("perturb, failing, digest", FAILURE_PATHS)
+def test_a_broken_function_fails_exactly_its_checks(perturb, failing, digest,
+                                                    monkeypatch, fresh_caches):
+    perturb(monkeypatch)
+    entries = build_report(RunConfig(samples=2, seed=42))
+    got = [e["check_id"] for e in entries if e["status"] == "fail"]
+    got_digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
+    assert got == failing
+    assert got_digest == digest
