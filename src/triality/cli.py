@@ -86,11 +86,12 @@ def _read_element(path: str) -> so8.So8Element:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError; so is an integer past the digit limit
         raise _UsageError(f"malformed JSON in {path}: {exc}")
     try:
         return so8.So8Element.from_json(obj)

@@ -17,9 +17,14 @@ of so(8) elements and octonions; its `Fraction` view is `coeffs`.
 
 One fraction-free Gauss-Jordan elimination on integer rows, `rref`, serves
 every elimination: determinants, kernels, ranks and `SpanSolver`'s span
-membership and coordinates. Its results become `Fraction`s only at the API.
-All results are exact, which is what the rest of the toolkit relies on:
-every downstream check is an identity, never a tolerance.
+membership and coordinates. Kernels and coordinates stay integers:
+`kernel_basis_of_rows` returns primitive integer vectors, and
+`SpanSolver.coords` maps numerators over a denominator to numerators over
+a denominator. `Fraction`s appear only in the constructors from rational
+input, the views, the scalar results of `SquareMatrix` and
+`format_rational`. All results are exact, which is what the rest of the
+toolkit relies on: every downstream check is an identity, never a
+tolerance.
 """
 
 from __future__ import annotations
@@ -343,8 +348,8 @@ class SquareMatrix:
             coeffs[n - k] = sign * ck
         return tuple(coeffs)
 
-    def kernel_basis(self) -> list[tuple[Rational, ...]]:
-        """Basis of the exact null space; empty list iff the matrix is invertible."""
+    def kernel_basis(self) -> list[tuple[int, ...]]:
+        """Primitive integer basis of the exact null space; empty iff invertible."""
         return kernel_basis_of_rows(self.numerators, self.dim)
 
     def to_json(self) -> list[list[str]]:
@@ -414,32 +419,22 @@ def rref(rows: list[Sequence[int]]) -> tuple[list[Sequence[int]], list[int], int
     return rows, pivots, prev, sign
 
 
-def kernel_basis_of_rows(rows: Sequence[Sequence[Rational]],
-                         n_cols: int) -> list[tuple[Rational, ...]]:
-    """Kernel basis of the linear map given by `rows`, one vector per free
-    column, with a 1 in that column."""
-    reduced, pivots, d, _ = rref(integer_rows(rows)[0])
+def kernel_basis_of_rows(rows: Sequence[Sequence[int]], n_cols: int) -> list[tuple[int, ...]]:
+    """Kernel basis of the linear map given by the integer `rows`, one vector
+    per free column: d in that column and minus the reduced column in the
+    pivot columns, scaled to coprime integers with first nonzero entry > 0."""
+    reduced, pivots, d, _ = rref(list(rows))
     basis = []
     for free in sorted(set(range(n_cols)) - set(pivots)):
-        v = [_ZERO] * n_cols
-        v[free] = _ONE
+        v = [0] * n_cols
+        v[free] = d
         for r, c in enumerate(pivots):
-            v[c] = Fraction(-reduced[r][free], d)
-        basis.append(tuple(v))
+            v[c] = -reduced[r][free]
+        g = gcd(*v)
+        if next(x for x in v if x) < 0:
+            g = -g
+        basis.append(tuple(x // g for x in v))
     return basis
-
-
-def primitive_integer_vector(vector: Sequence[Rational]) -> tuple[Rational, ...]:
-    """Rescale a nonzero rational vector to coprime integers, first nonzero > 0."""
-    (scaled,), _ = integer_rows([vector])
-    g = gcd(*scaled)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    scaled = [x // g for x in scaled]
-    lead = next(x for x in scaled if x != 0)
-    if lead < 0:
-        scaled = [-x for x in scaled]
-    return tuple(Fraction(x) for x in scaled)
 
 
 class SpanSolver:
@@ -452,32 +447,35 @@ class SpanSolver:
     then cost two sparse integer products each.
     """
 
-    def __init__(self, columns: Sequence[Sequence[Rational]]):
+    def __init__(self, columns: Sequence[Sequence[int]]):
         if not columns:
             raise ValueError("need at least one column")
         self.n_rows = len(columns[0])
         if any(len(col) != self.n_rows for col in columns):
             raise ValueError("columns must have equal length")
         self.dim = d = len(columns)
-        cols, self._den = integer_rows([[Fraction(x) for x in col] for col in columns])
-        aug = [[col[r] for col in cols] + [1 if k == r else 0 for k in range(self.n_rows)]
+        aug = [[col[r] for col in columns] + [1 if k == r else 0 for k in range(self.n_rows)]
                for r in range(self.n_rows)]
-        reduced, pivots, self._scale, _ = rref(aug)
+        reduced, pivots, scale, _ = rref(aug)
         if pivots[:d] != list(range(d)):
             raise ValueError("columns are linearly dependent")
-        # with cols = den * columns: left_inverse * cols = scale * I and
-        # annihilator * cols = 0, the annihilator having full row rank
-        self._left_inverse = [row[d:] for row in reduced[:d]]
+        # left_inverse * columns = scale * I with scale > 0, and
+        # annihilator * columns = 0, the annihilator having full row rank
+        sign = 1 if scale > 0 else -1
+        self._scale = sign * scale
+        self._left_inverse = [[sign * x for x in row[d:]] for row in reduced[:d]]
         self._annihilator = [row[d:] for row in reduced[d:]]
 
-    def coords(self, vector: Sequence[Rational]) -> Optional[tuple[Rational, ...]]:
-        """Coordinates of `vector` in the span, or None if it lies outside."""
-        if len(vector) != self.n_rows:
+    def coords(self, numerators: Sequence[int], den: int
+               ) -> Optional[tuple[tuple[int, ...], int]]:
+        """Coordinates of the vector numerators / den in the span, as
+        (numerators, denominator) in lowest terms, or None if it lies outside."""
+        if len(numerators) != self.n_rows:
             raise ValueError("dimension mismatch")
-        (vec,), vden = integer_rows([[Fraction(x) for x in vector]])
-        nz = [(j, v) for j, v in enumerate(vec) if v]
+        nz = [(j, v) for j, v in enumerate(numerators) if v]
         if any(sum(row[j] * v for j, v in nz) for row in self._annihilator):
             return None
-        den = self._scale * vden
-        return tuple(Fraction(self._den * sum(row[j] * v for j, v in nz), den)
-                     for row in self._left_inverse)
+        (coords,), cden = lowest_terms(
+            (tuple(sum(row[j] * v for j, v in nz) for row in self._left_inverse),),
+            self._scale * den)
+        return coords, cden

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 from .automorphisms import sigma
 from .exact import (ConsistencyError, Rational, SpanSolver, SquareMatrix, format_rational,
-                    kernel_basis_of_rows)
+                    integer_rows, kernel_basis_of_rows)
 from .so8 import So8Element
 
 _ZERO = Fraction(0)
@@ -288,19 +288,18 @@ def t_matrix(power: int = 1) -> SquareMatrix:
     return T_MATRIX.power(power)
 
 
-def fixed_degree6_space() -> list[tuple[Rational, ...]]:
+def fixed_degree6_space() -> list[tuple[int, ...]]:
     """Basis of the +1-eigenspace of T^t: the degree-6 functionals invariant
     under the order-3 action. Verified to be 2-dimensional and to contain
     the functionals p1^3 and 5*p1*p2 - 8*p3 in its span."""
-    delta = T_MATRIX.transpose() - SquareMatrix.identity(4)
-    basis = kernel_basis_of_rows([list(r) for r in delta.rows], 4)
+    basis = (T_MATRIX.transpose() - SquareMatrix.identity(4)).kernel_basis()
     if len(basis) != 2:
         raise ConsistencyError(f"degree-6 fixed space has dimension {len(basis)}, want 2")
-    solver = SpanSolver([list(b) for b in basis])
-    for probe in ((_ONE, _ZERO, _ZERO, _ZERO),
-                  (_ZERO, Fraction(5), _ZERO, Fraction(-8))):
-        if solver.coords(probe) is None:
-            raise ConsistencyError(f"degree-6 fixed space misses functional {probe}")
+    solver = SpanSolver(basis)
+    for probe in ((1, 0, 0, 0), (0, 5, 0, -8)):
+        if solver.coords(probe, 1) is None:
+            raise ConsistencyError("degree-6 fixed space misses functional "
+                                   f"{tuple(map(Fraction, probe))}")
     return basis
 
 
@@ -370,7 +369,7 @@ def derive_c3_coefficients() -> dict:
         rows.append([p1 ** 3, p1 * p2, p3])
         rhs.append(c3)
 
-    kernel = kernel_basis_of_rows(rows, 3)
+    kernel = kernel_basis_of_rows(integer_rows(rows)[0], 3)
 
     def residuals(coeffs):
         a, b, g = coeffs

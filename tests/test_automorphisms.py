@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ def span_intersection_dimension(a: FixedSubalgebra, b: FixedSubalgebra) -> int:
 def intersection_basis(a: FixedSubalgebra, b: FixedSubalgebra) -> list:
     """A basis of span A intersect span B, as so(8) elements."""
     columns = [x.coeffs for x in a.basis] + [tuple(-c for c in y.coeffs) for y in b.basis]
-    rows = [list(col) for col in zip(*columns)]
+    rows = integer_rows([list(col) for col in zip(*columns)])[0]
     out = []
     for v in kernel_basis_of_rows(rows, a.dim + b.dim):
         elem = So8Element.zero()
@@ -232,13 +233,17 @@ class TestFixedSubalgebras:
             assert sigma(b) == b
 
     def test_g2_bracket_closure_coordinates(self):
-        sub = g2_fixed_subalgebra()
-        coords = sub.coords(bracket(sub.basis[0], sub.basis[1]))
-        assert coords is not None
-        rebuilt = So8Element.zero()
-        for c, b in zip(coords, sub.basis):
-            rebuilt = rebuilt + b.scale(c)
-        assert rebuilt == bracket(sub.basis[0], sub.basis[1])
+        for sub in (g2_fixed_subalgebra(), so7_fixed_subalgebra()):
+            for i in range(sub.dim):
+                for j in range(i + 1, sub.dim):
+                    target = bracket(sub.basis[i], sub.basis[j])
+                    coords = sub.coords(target)
+                    assert coords is not None
+                    num, den = coords
+                    rebuilt = So8Element.zero()
+                    for c, b in zip(num, sub.basis):
+                        rebuilt = rebuilt + b.scale(Fraction(c, den))
+                    assert rebuilt == target
 
     def test_so7_dimension_and_shape(self):
         sub = so7_fixed_subalgebra()
@@ -258,6 +263,24 @@ class TestFixedSubalgebras:
         sub = g2_fixed_subalgebra()
         assert sub.contains(sub.random_element(5))
         assert not sub.contains(So8Element.from_generator(Generator(0, 1)))
+
+    def test_random_element_rejects_bound_below_one(self):
+        sub = g2_fixed_subalgebra()
+        for bound in (0, -1):
+            with pytest.raises(ValueError):
+                sub.random_element(5, bound=bound)
+
+    def test_rational_basis(self):
+        # coordinates are taken in the given basis, whatever its denominators
+        half = So8Element.from_generator(Generator(0, 1)).scale(Fraction(1, 2))
+        third = So8Element.from_generator(Generator(2, 3)).scale(Fraction(-1, 3))
+        sub = FixedSubalgebra([half, third], tag="abelian")
+        assert sub.coords(half + third) == ((1, 1), 1)
+        assert sub.coords(So8Element.from_generator(Generator(0, 1))) == ((2, 0), 1)
+        assert sub.coords(So8Element.from_generator(Generator(0, 2))) is None
+        rng = random.Random(9)
+        draws = [rng.randint(-9, 9) for _ in range(2)]
+        assert sub.random_element(9) == half.scale(draws[0]) + third.scale(draws[1])
 
     def test_dim_check_fires_for_corrupted_map(self):
         with pytest.raises(ConsistencyError):
@@ -282,6 +305,18 @@ class TestIdentification:
     def test_so7_structure(self):
         report = identify_fixed_algebra(so7_fixed_subalgebra())
         assert report == {"dim": 21, "killing_nondegenerate": True, "rank": 3}
+
+    @pytest.mark.parametrize("make, factor", [(g2_fixed_subalgebra, 4),
+                                              (so7_fixed_subalgebra, 5)],
+                             ids=["g2", "so7"])
+    def test_killing_form_is_a_multiple_of_the_trace_form(self, make, factor):
+        # the oracle reads only the 8x8 matrices of the basis, never the
+        # structure table: kappa = 4 Tr(XY) on g2 and 5 Tr(XY) on so(7)
+        sub = make()
+        kappa = killing_form(sub)
+        for i, bi in enumerate(sub.basis):
+            for j, bj in enumerate(sub.basis):
+                assert kappa[i][j] == factor * bi.matrix.product_trace(bj.matrix)
 
     def test_abelian_subalgebra_is_degenerate(self):
         sub = FixedSubalgebra([So8Element.from_generator(Generator(0, 1)),

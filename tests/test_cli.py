@@ -139,6 +139,20 @@ class TestEvalCommand:
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["eval", "--input", str(tmp_path / "absent.json")]) == 2
 
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["eval", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+    @pytest.mark.parametrize("text", ["[" * 100000, "[" + "1" * 5000 + "]"],
+                             ids=["nested_past_recursion_limit", "integer_past_digit_limit"])
+    def test_json_the_parser_gives_up_on_exits_two(self, text, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert main(["eval", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: malformed JSON in {path}: ")
+
     def test_mismatched_encodings_exit_one(self, tmp_path):
         obj = random_element(1).to_json("coeffs")
         obj.update(random_element(2).to_json("matrix"))
@@ -260,8 +274,12 @@ class TestDumpCommand:
 # contract: a refactor must leave them byte-identical, and a deliberate change
 # to them updates the digest here.
 GOLDEN_SHA256 = {
+    ("dump",):
+        "6b6f2f6518908a34ee4f9616874203b9c36e4be84ffc97668e7aecb2fbf216d6",
     ("dump", "--json"):
         "422e9f102e67077b1f4ab52c7e6cab2c2c91a739674e07e0ec0d98488ca21994",
+    ("fixed",):
+        "b744e08f3be59bd719bdd1cdc64690216a4cfcbb5380ceedd510b79d7d4be6da",
     ("fixed", "--json"):
         "acc26a6b8345bcac4ea5b6761a69417e15ac95ae7f26767f6857ebcbb884dfba",
     ("verify", "--json", "--samples", "3", "--seed", "42"):

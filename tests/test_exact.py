@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import NON_CANONICAL_ENTRIES
 from triality.exact import (SpanSolver, SquareMatrix, format_rational, integer_rows,
-                            kernel_basis_of_rows, primitive_integer_vector, read_ratio)
+                            kernel_basis_of_rows, read_ratio)
 from triality.invariants import pfaffian_matchings, pfaffian_permutation_sum
 from triality.so8 import DIMENSION, So8Element
 
@@ -219,12 +219,15 @@ class TestSpanSolver:
     def test_coords_roundtrip(self):
         cols = [(1, 0, 2, 0), (0, 1, 1, 1)]
         solver = SpanSolver(cols)
-        combo = [Fraction(3), Fraction(-2), Fraction(4), Fraction(-2)]
-        assert solver.coords(combo) == (3, -2)
+        assert solver.coords([3, -2, 4, -2], 1) == ((3, -2), 1)
+        assert solver.coords([3, -2, 4, -2], 4) == ((3, -2), 4)
+        assert solver.coords([6, -2, 10, -2], 4) == ((3, -1), 2)
+        # a negative last pivot still gives a positive denominator
+        assert SpanSolver([(-1, 0)]).coords([2, 0], 3) == ((-2,), 3)
 
     def test_outside_span(self):
         solver = SpanSolver([(1, 0, 0), (0, 1, 0)])
-        assert solver.coords((0, 0, 1)) is None
+        assert solver.coords((0, 0, 1), 1) is None
 
     def test_dependent_columns_rejected(self):
         with pytest.raises(ValueError):
@@ -278,51 +281,65 @@ class TestIntegerElimination:
     @given(rows=low_rank_products())
     def test_kernel_of_rank_deficient_rows(self, rows):
         n = len(rows[0])
-        basis = kernel_basis_of_rows(rows, n)
+        basis = kernel_basis_of_rows(integer_rows(rows)[0], n)
         assert len(basis) + _fraction_rank(rows) == n
         for v in basis:
             assert all(sum((x * y for x, y in zip(row, v)), Fraction(0)) == 0 for row in rows)
-        # one vector per free column, ending in a 1 there: triangular, so independent
+            # primitive integer vectors, first nonzero entry positive
+            assert all(type(x) is int for x in v)
+            assert math.gcd(*v) == 1 and next(x for x in v if x) > 0
+        # one vector per free column, ending there: triangular, so independent
         last = [max(j for j, x in enumerate(v) if x != 0) for v in basis]
         assert len(set(last)) == len(basis)
-        assert all(v[j] == 1 for v, j in zip(basis, last))
 
     @given(problem=span_problems())
     def test_span_solver_on_rational_columns(self, problem):
         cols, coeffs = problem
         n, d = len(cols[0]), len(cols)
-        solver = SpanSolver(cols)
+        # the solver takes the integer columns den * cols, in whose
+        # coordinates a combination of cols has its coefficients over den
+        int_cols, den = integer_rows(cols)
+        solver = SpanSolver(int_cols)
         assert solver.dim == d
+
+        def coords(vector):
+            (num,), vden = integer_rows([vector])
+            got = solver.coords(num, vden)
+            if got is None:
+                return None
+            num, cden = got
+            assert cden > 0 and math.gcd(cden, *num) == 1
+            return [Fraction(den * c, cden) for c in num]
+
         combo = [sum((c * col[r] for c, col in zip(coeffs, cols)), Fraction(0))
                  for r in range(n)]
-        assert solver.coords(combo) == tuple(coeffs)
+        assert coords(combo) == coeffs
         outside = 0
         for j in range(n):
             shifted = list(combo)
             shifted[j] += 1
             if _fraction_rank(cols + [shifted]) > d:
                 outside += 1
-                assert solver.coords(shifted) is None
+                assert coords(shifted) is None
             else:
-                x = solver.coords(shifted)
+                x = coords(shifted)
                 assert [sum((c * col[r] for c, col in zip(x, cols)), Fraction(0))
                          for r in range(n)] == shifted
         assert outside > 0
 
 
 class TestPrimitiveVector:
-    def test_scaling(self):
-        v = (Fraction(-1, 2), Fraction(0), Fraction(3, 4))
-        assert primitive_integer_vector(v) == (2, 0, -3)
+    """Kernel vectors come as coprime integers with first nonzero entry > 0."""
 
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            primitive_integer_vector((Fraction(0), Fraction(0)))
+    def test_scaling(self):
+        # the kernel of these rows is spanned by (-1/2, 0, 3/4)
+        rows = [[3, 0, 2], [0, 1, 0]]
+        assert kernel_basis_of_rows(rows, 3) == [(2, 0, -3)]
+        assert kernel_basis_of_rows([[-3, 0, -2], [0, -5, 0]], 3) == [(2, 0, -3)]
 
     def test_kernel_rows_helper(self):
-        rows = [[Fraction(1), Fraction(1), Fraction(0)]]
-        basis = kernel_basis_of_rows(rows, 3)
-        assert len(basis) == 2
+        basis = kernel_basis_of_rows([[1, 1, 0]], 3)
+        assert basis == [(1, -1, 0), (0, 0, 1)]
 
 
 def _permutation_sign(perm):
