@@ -26,20 +26,22 @@ from __future__ import annotations
 
 import functools
 import random
-from math import lcm
-from operator import mul
+from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import ConsistencyError, SpanSolver, SquareMatrix, format_numerators
+from .exact import ConsistencyError, Rational, SpanSolver, SquareMatrix, format_numerators
 from .so8 import (DIMENSION, GENERATORS, So8Element, bracket, quadruples,
                   random_element, structure_constants as so8_structure_constants)
 
-ORDER3_BLOCK = SquareMatrix.from_integers([
-    [-1, -1, -1, -1],
-    [1, 1, -1, -1],
-    [1, -1, 1, -1],
-    [1, -1, -1, 1],
-], 2)
+_ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
+
+ORDER3_BLOCK = SquareMatrix([
+    [-_HALF, -_HALF, -_HALF, -_HALF],
+    [_HALF, _HALF, -_HALF, -_HALF],
+    [_HALF, -_HALF, _HALF, -_HALF],
+    [_HALF, -_HALF, -_HALF, _HALF],
+])
 
 # conjugation by diag(1,...,1,-1) scales G(i,j) by a_i * a_j: -1 exactly when j = 7
 _INVOLUTION_SIGNS = tuple(-1 if g.j == 7 else 1 for g in GENERATORS)
@@ -76,9 +78,9 @@ class TrialityMap:
     @classmethod
     def corrupted(cls) -> "TrialityMap":
         """Negative-control variant: one sign of the block flipped."""
-        rows = [list(r) for r in ORDER3_BLOCK.numerators]
+        rows = [list(r) for r in ORDER3_BLOCK.rows]
         rows[1][1] = -rows[1][1]
-        return cls(SquareMatrix.from_integers(rows, ORDER3_BLOCK.denominator))
+        return cls(SquareMatrix(rows))
 
     def apply(self, x: So8Element) -> So8Element:
         """full * x as a sparse integer product over den(full) * den(x)."""
@@ -187,32 +189,22 @@ def verify_bracket_preservation(samples: int, seed: int,
 
 
 class FixedSubalgebra:
-    """A bracket-closed subalgebra given by a basis of so(8) elements.
-
-    The basis is held as integer columns over one denominator, and the
-    structure table as integer coordinates over one denominator."""
+    """A bracket-closed subalgebra given by a basis of so(8) elements."""
 
     def __init__(self, basis: Sequence[So8Element], tag: str):
         if not basis:
             raise ValueError("a subalgebra needs a nonempty basis")
         self.basis = tuple(basis)
         self.tag = tag
-        # b_k = columns[k] / den
-        den = self._den = lcm(*(b.denominator for b in self.basis))
-        self._columns = [[n * (den // b.denominator) for n in b.numerators]
-                         for b in self.basis]
-        self._solver = SpanSolver(self._columns)
-        self._structure: Optional[tuple[list[list[tuple[int, ...]]], int]] = None
+        self._solver = SpanSolver([b.coeffs for b in self.basis])
+        self._structure: Optional[list[list[tuple[Rational, ...]]]] = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def coords(self, x: So8Element) -> Optional[tuple[tuple[int, ...], int]]:
-        """Coordinates of x in the basis as (numerators, denominator) in
-        lowest terms, or None when x lies outside the span."""
-        # x = sum c_k columns[k] / den, so den * x has coordinates c
-        return self._solver.coords([self._den * n for n in x.numerators], x.denominator)
+    def coords(self, x: So8Element) -> Optional[tuple[Rational, ...]]:
+        return self._solver.coords(x.coeffs)
 
     def contains(self, x: So8Element) -> bool:
         return self.coords(x) is not None
@@ -222,41 +214,45 @@ class FixedSubalgebra:
         if bound < 1:
             raise ValueError(f"bound must be >= 1, got {bound}")
         rng = random.Random(seed)
-        draws = [rng.randint(-bound, bound) for _ in self.basis]
-        return So8Element.from_integers(
-            [sum(map(mul, draws, row)) for row in zip(*self._columns)], self._den)
+        out = So8Element.zero()
+        for b in self.basis:
+            out = out + b.scale(rng.randint(-bound, bound))
+        return out
 
-    def structure_constants(self) -> tuple[list[list[tuple[int, ...]]], int]:
-        """(table, den): [b_i, b_j] = sum_k table[i][j][k] * b_k / den; raises
-        if the span is not closed."""
+    def structure_constants(self) -> list[list[tuple[Rational, ...]]]:
+        """Coordinates of [b_i, b_j] in the basis; raises if the span is not closed."""
         if self._structure is None:
             d = self.dim
-            coords = {}
+            zero = (_ZERO,) * d
+            table: list[list[tuple[Rational, ...]]] = [[zero] * d for _ in range(d)]
             for i in range(d):
                 for j in range(i + 1, d):
-                    c = self.coords(bracket(self.basis[i], self.basis[j]))
-                    if c is None:
+                    coords = self.coords(bracket(self.basis[i], self.basis[j]))
+                    if coords is None:
                         raise ConsistencyError(
                             f"subalgebra {self.tag!r} not closed: "
                             f"[b{i}, b{j}] falls outside the span")
-                    coords[i, j] = c
-            den = lcm(*(cden for _, cden in coords.values()))
-            zero = (0,) * d
-            table = [[zero] * d for _ in range(d)]
-            for (i, j), (num, cden) in coords.items():
-                table[i][j] = tuple(n * (den // cden) for n in num)
-                table[j][i] = tuple(-n for n in table[i][j])
-            self._structure = table, den
+                    table[i][j] = coords
+                    table[j][i] = tuple(-c for c in coords)
+            self._structure = table
         return self._structure
 
-    def ad_matrix(self, coeffs: Sequence[int]) -> SquareMatrix:
-        """ad(x) in the subalgebra's own basis, for x = sum(coeffs[i] * b_i)
-        with integer coeffs."""
-        table, den = self.structure_constants()
-        # column j of ad(x) is [x, b_j] = sum_i coeffs[i] * table[i][j]
-        columns = [[sum(map(mul, coeffs, entries)) for entries in zip(*column)]
-                   for column in zip(*table)]
-        return SquareMatrix.from_integers(zip(*columns), den)
+    def ad_matrix(self, coeffs: Sequence[Rational]) -> SquareMatrix:
+        """ad(x) in the subalgebra's own basis, for x = sum(coeffs[i] * b_i)."""
+        d = self.dim
+        if len(coeffs) != d:
+            raise ValueError(f"need {d} coefficients, got {len(coeffs)}")
+        table = self.structure_constants()
+        rows = [[_ZERO] * d for _ in range(d)]
+        for i, ci in enumerate(coeffs):
+            if ci == 0:
+                continue
+            for j in range(d):
+                cij = table[i][j]
+                for k in range(d):
+                    if cij[k] != 0:
+                        rows[k][j] += ci * cij[k]
+        return SquareMatrix(rows)
 
 
 def fixed_subalgebra(tmap: Optional[TrialityMap] = None,
@@ -293,16 +289,25 @@ def _fixed_locus(action: SquareMatrix, expected_dim: Optional[int], tag: str) ->
 def killing_form(sub: FixedSubalgebra) -> SquareMatrix:
     """kappa(b_i, b_j) = Tr(ad b_i * ad b_j) in the subalgebra's adjoint representation."""
     d = sub.dim
-    table, den = sub.structure_constants()
+    table = sub.structure_constants()
     # nonzeros of ad(b_i): ad_i[k][j] = table[i][j][k]
-    nonzeros = [[(k, j, v) for j in range(d) for k, v in enumerate(table[i][j]) if v]
-                for i in range(d)]
-    rows = [[0] * d for _ in range(d)]
+    nonzeros = []
+    for i in range(d):
+        nz = [(k, j, table[i][j][k])
+              for j in range(d) for k in range(d) if table[i][j][k] != 0]
+        nonzeros.append(nz)
+    rows = [[_ZERO] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
             # Tr(ad_i ad_j) = sum_{k,l} ad_i[k][l] * ad_j[l][k]
-            rows[i][j] = rows[j][i] = sum(v * table[j][k][l] for k, l, v in nonzeros[i])
-    return SquareMatrix.from_integers(rows, den * den)
+            total = _ZERO
+            for (k, l, v) in nonzeros[i]:
+                w = table[j][k][l]
+                if w != 0:
+                    total += v * w
+            rows[i][j] = total
+            rows[j][i] = total
+    return SquareMatrix(rows)
 
 
 def identify_fixed_algebra(sub: FixedSubalgebra) -> dict:
@@ -318,7 +323,7 @@ def identify_fixed_algebra(sub: FixedSubalgebra) -> dict:
     rank = None
     for seed in RANK_SAMPLE_SEEDS:
         rng = random.Random(seed)
-        coeffs = [rng.randint(-9, 9) for _ in range(sub.dim)]
+        coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(sub.dim)]
         ad = sub.ad_matrix(coeffs)
         centralizer_dim = len(ad.kernel_basis())
         rank = centralizer_dim if rank is None else min(rank, centralizer_dim)

@@ -17,14 +17,11 @@ of so(8) elements and octonions; its `Fraction` view is `coeffs`.
 
 One fraction-free Gauss-Jordan elimination on integer rows, `rref`, serves
 every elimination: determinants, kernels, ranks and `SpanSolver`'s span
-membership and coordinates. Kernels and coordinates stay integers:
-`kernel_basis_of_rows` returns primitive integer vectors, and
-`SpanSolver.coords` maps numerators over a denominator to numerators over
-a denominator. `Fraction`s appear only in the constructors from rational
-input, the views, the scalar results of `SquareMatrix` and
-`format_rational`. All results are exact, which is what the rest of the
-toolkit relies on: every downstream check is an identity, never a
-tolerance.
+membership and coordinates. Kernels stay integers: `kernel_basis_of_rows`
+takes integer rows and returns primitive integer vectors. `SpanSolver`
+coordinates become `Fraction`s only at its API. All results are exact,
+which is what the rest of the toolkit relies on: every downstream check is
+an identity, never a tolerance.
 """
 
 from __future__ import annotations
@@ -422,8 +419,13 @@ def rref(rows: list[Sequence[int]]) -> tuple[list[Sequence[int]], list[int], int
 def kernel_basis_of_rows(rows: Sequence[Sequence[int]], n_cols: int) -> list[tuple[int, ...]]:
     """Kernel basis of the linear map given by the integer `rows`, one vector
     per free column: d in that column and minus the reduced column in the
-    pivot columns, scaled to coprime integers with first nonzero entry > 0."""
-    reduced, pivots, d, _ = rref(list(rows))
+    pivot columns, scaled to coprime integers with first nonzero entry > 0.
+    Rational rows go through `integer_rows` first; other entries raise
+    TypeError, since the elimination's exact divisions need integers."""
+    rows = list(rows)
+    if not all(isinstance(x, int) for row in rows for x in row):
+        raise TypeError("kernel_basis_of_rows needs integer entries")
+    reduced, pivots, d, _ = rref(rows)
     basis = []
     for free in sorted(set(range(n_cols)) - set(pivots)):
         v = [0] * n_cols
@@ -447,35 +449,32 @@ class SpanSolver:
     then cost two sparse integer products each.
     """
 
-    def __init__(self, columns: Sequence[Sequence[int]]):
+    def __init__(self, columns: Sequence[Sequence[Rational]]):
         if not columns:
             raise ValueError("need at least one column")
         self.n_rows = len(columns[0])
         if any(len(col) != self.n_rows for col in columns):
             raise ValueError("columns must have equal length")
         self.dim = d = len(columns)
-        aug = [[col[r] for col in columns] + [1 if k == r else 0 for k in range(self.n_rows)]
+        cols, self._den = integer_rows([[Fraction(x) for x in col] for col in columns])
+        aug = [[col[r] for col in cols] + [1 if k == r else 0 for k in range(self.n_rows)]
                for r in range(self.n_rows)]
-        reduced, pivots, scale, _ = rref(aug)
+        reduced, pivots, self._scale, _ = rref(aug)
         if pivots[:d] != list(range(d)):
             raise ValueError("columns are linearly dependent")
-        # left_inverse * columns = scale * I with scale > 0, and
-        # annihilator * columns = 0, the annihilator having full row rank
-        sign = 1 if scale > 0 else -1
-        self._scale = sign * scale
-        self._left_inverse = [[sign * x for x in row[d:]] for row in reduced[:d]]
+        # with cols = den * columns: left_inverse * cols = scale * I and
+        # annihilator * cols = 0, the annihilator having full row rank
+        self._left_inverse = [row[d:] for row in reduced[:d]]
         self._annihilator = [row[d:] for row in reduced[d:]]
 
-    def coords(self, numerators: Sequence[int], den: int
-               ) -> Optional[tuple[tuple[int, ...], int]]:
-        """Coordinates of the vector numerators / den in the span, as
-        (numerators, denominator) in lowest terms, or None if it lies outside."""
-        if len(numerators) != self.n_rows:
+    def coords(self, vector: Sequence[Rational]) -> Optional[tuple[Rational, ...]]:
+        """Coordinates of `vector` in the span, or None if it lies outside."""
+        if len(vector) != self.n_rows:
             raise ValueError("dimension mismatch")
-        nz = [(j, v) for j, v in enumerate(numerators) if v]
+        (vec,), vden = integer_rows([[Fraction(x) for x in vector]])
+        nz = [(j, v) for j, v in enumerate(vec) if v]
         if any(sum(row[j] * v for j, v in nz) for row in self._annihilator):
             return None
-        (coords,), cden = lowest_terms(
-            (tuple(sum(row[j] * v for j, v in nz) for row in self._left_inverse),),
-            self._scale * den)
-        return coords, cden
+        den = self._scale * vden
+        return tuple(Fraction(self._den * sum(row[j] * v for j, v in nz), den)
+                     for row in self._left_inverse)

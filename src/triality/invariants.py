@@ -296,10 +296,10 @@ def fixed_degree6_space() -> list[tuple[int, ...]]:
     if len(basis) != 2:
         raise ConsistencyError(f"degree-6 fixed space has dimension {len(basis)}, want 2")
     solver = SpanSolver(basis)
-    for probe in ((1, 0, 0, 0), (0, 5, 0, -8)):
-        if solver.coords(probe, 1) is None:
-            raise ConsistencyError("degree-6 fixed space misses functional "
-                                   f"{tuple(map(Fraction, probe))}")
+    for probe in ((_ONE, _ZERO, _ZERO, _ZERO),
+                  (_ZERO, Fraction(5), _ZERO, Fraction(-8))):
+        if solver.coords(probe) is None:
+            raise ConsistencyError(f"degree-6 fixed space misses functional {probe}")
     return basis
 
 

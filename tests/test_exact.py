@@ -219,15 +219,12 @@ class TestSpanSolver:
     def test_coords_roundtrip(self):
         cols = [(1, 0, 2, 0), (0, 1, 1, 1)]
         solver = SpanSolver(cols)
-        assert solver.coords([3, -2, 4, -2], 1) == ((3, -2), 1)
-        assert solver.coords([3, -2, 4, -2], 4) == ((3, -2), 4)
-        assert solver.coords([6, -2, 10, -2], 4) == ((3, -1), 2)
-        # a negative last pivot still gives a positive denominator
-        assert SpanSolver([(-1, 0)]).coords([2, 0], 3) == ((-2,), 3)
+        combo = [Fraction(3), Fraction(-2), Fraction(4), Fraction(-2)]
+        assert solver.coords(combo) == (3, -2)
 
     def test_outside_span(self):
         solver = SpanSolver([(1, 0, 0), (0, 1, 0)])
-        assert solver.coords((0, 0, 1), 1) is None
+        assert solver.coords((0, 0, 1)) is None
 
     def test_dependent_columns_rejected(self):
         with pytest.raises(ValueError):
@@ -296,33 +293,20 @@ class TestIntegerElimination:
     def test_span_solver_on_rational_columns(self, problem):
         cols, coeffs = problem
         n, d = len(cols[0]), len(cols)
-        # the solver takes the integer columns den * cols, in whose
-        # coordinates a combination of cols has its coefficients over den
-        int_cols, den = integer_rows(cols)
-        solver = SpanSolver(int_cols)
+        solver = SpanSolver(cols)
         assert solver.dim == d
-
-        def coords(vector):
-            (num,), vden = integer_rows([vector])
-            got = solver.coords(num, vden)
-            if got is None:
-                return None
-            num, cden = got
-            assert cden > 0 and math.gcd(cden, *num) == 1
-            return [Fraction(den * c, cden) for c in num]
-
         combo = [sum((c * col[r] for c, col in zip(coeffs, cols)), Fraction(0))
                  for r in range(n)]
-        assert coords(combo) == coeffs
+        assert solver.coords(combo) == tuple(coeffs)
         outside = 0
         for j in range(n):
             shifted = list(combo)
             shifted[j] += 1
             if _fraction_rank(cols + [shifted]) > d:
                 outside += 1
-                assert coords(shifted) is None
+                assert solver.coords(shifted) is None
             else:
-                x = coords(shifted)
+                x = solver.coords(shifted)
                 assert [sum((c * col[r] for c, col in zip(x, cols)), Fraction(0))
                          for r in range(n)] == shifted
         assert outside > 0
@@ -340,6 +324,11 @@ class TestPrimitiveVector:
     def test_kernel_rows_helper(self):
         basis = kernel_basis_of_rows([[1, 1, 0]], 3)
         assert basis == [(1, -1, 0), (0, 0, 1)]
+
+    def test_rational_rows_rejected(self):
+        # the elimination's exact divisions would floor a Fraction silently
+        with pytest.raises(TypeError):
+            kernel_basis_of_rows([[Fraction(1, 2), Fraction(1, 3), 0]], 3)
 
 
 def _permutation_sign(perm):
