@@ -25,8 +25,10 @@ matrix of determinant -1) fixes the obvious so(7), dimension 21, rank 3.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .exact import ConsistencyError, Rational, SpanSolver, SquareMatrix, format_numerators
@@ -214,10 +216,10 @@ class FixedSubalgebra:
         if bound < 1:
             raise ValueError(f"bound must be >= 1, got {bound}")
         rng = random.Random(seed)
-        out = So8Element.zero()
-        for b in self.basis:
-            out = out + b.scale(rng.randint(-bound, bound))
-        return out
+        den = math.lcm(*(b.denominator for b in self.basis))
+        weights = [rng.randint(-bound, bound) * (den // b.denominator) for b in self.basis]
+        columns = zip(*(b.numerators for b in self.basis))
+        return So8Element.from_integers([sum(map(mul, weights, col)) for col in columns], den)
 
     def structure_constants(self) -> list[list[tuple[Rational, ...]]]:
         """Coordinates of [b_i, b_j] in the basis; raises if the span is not closed."""

@@ -24,6 +24,11 @@ e1..e3 come from the 28 + 70 + 28 principal sub-Pfaffians and e4 = det(M)
 from Bareiss elimination, independently of the trace powers and of the
 105-matching Pfaffian that Newton's identities use.
 
+The transformation law under the order-3 automorphism is typed once, as the
+degree-6 matrix T_MATRIX, and `sigma_transform_invariants` reads it off; the
+restriction c3 to the fixed locus is evaluated by one function,
+`c3_polynomial`, for its derived and its rejected coefficient sets.
+
 Two closed-form coefficient sets that fail this derivation are kept below as
 explicit rejected candidates (for the x^4 and x^2 coefficients in terms of
 traces, and for the degree-6 restriction polynomial); the verification
@@ -140,10 +145,16 @@ def pfaffian_matchings(m: So8Element) -> Rational:
     return Fraction(total, mat.denominator ** 4)
 
 
-def _permutation_sign(perm: Sequence[int]) -> int:
-    inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
-                     if perm[a] > perm[b])
-    return -1 if inversions % 2 else 1
+def _permutations_with_parity(n: int):
+    """Yield (p, parity) over the permutations p of 1..n. Each is built from
+    a permutation of 1..n-1 by inserting n, and inserting it at index i of p
+    adds len(p) - i inversions, so the parity is carried along."""
+    if n == 0:
+        yield (), 0
+        return
+    for p, parity in _permutations_with_parity(n - 1):
+        for i in range(n):
+            yield p[:i] + (n,) + p[i:], (parity + n - 1 - i) % 2
 
 
 @functools.cache
@@ -153,9 +164,8 @@ def _s7_terms() -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
     M[0][p1] M[p2][p3] M[p4][p5] M[p6][p7]: the even permutations, then the
     odd ones."""
     even, odd = [], []
-    for p in itertools.permutations(range(1, 8)):
-        term = (p[0], 8 * p[1] + p[2], 8 * p[3] + p[4], 8 * p[5] + p[6])
-        (even if _permutation_sign(p) == 1 else odd).append(term)
+    for p, parity in _permutations_with_parity(7):
+        (odd if parity else even).append((p[0], 8 * p[1] + p[2], 8 * p[3] + p[4], 8 * p[5] + p[6]))
     return tuple(even), tuple(odd)
 
 
@@ -258,29 +268,39 @@ def candidate_eta2_coefficient(v: InvariantVector) -> Rational:
 # Transformation law under the order-3 automorphism
 # ---------------------------------------------------------------------------
 
-def sigma_transform_invariants(v: InvariantVector) -> InvariantVector:
-    """Closed-form images of (p1, p2, p3, pf) under the order-3 automorphism.
-
-    These four identities are the content of the headline check: applied to
-    invariant_vector(m) they must reproduce invariant_vector(sigma(m))
-    exactly, and iterating them three times is the identity."""
-    p1, p2, p3, pf = v.as_tuple()
-    return InvariantVector(
-        p1,
-        Fraction(3, 8) * p1 ** 2 - Fraction(1, 2) * p2 - 12 * pf,
-        Fraction(15, 64) * p1 ** 3 - Fraction(15, 16) * p1 * p2
-        - Fraction(15, 2) * p1 * pf + p3,
-        -Fraction(1, 64) * p1 ** 2 + Fraction(1, 16) * p2 - Fraction(1, 2) * pf,
-    )
-
-
-# degree-6 monomial basis order: (p1^3, p1*p2, p1*pf, p3)
+# the transformation law, typed once: T maps the degree-6 monomials of v,
+# (p1^3, p1*p2, p1*pf, p3), to those of its image
 T_MATRIX = SquareMatrix([
     [_ONE, _ZERO, _ZERO, _ZERO],
     [Fraction(3, 8), Fraction(-1, 2), Fraction(-12), _ZERO],
     [Fraction(-1, 64), Fraction(1, 16), Fraction(-1, 2), _ZERO],
     [Fraction(15, 64), Fraction(-15, 16), Fraction(-15, 2), _ONE],
 ])
+
+# the degree-6 functionals p1^3 and 5*p1*p2 - 8*p3 on the basis of T_MATRIX,
+# both invariant under the order-3 action
+DEGREE6_INVARIANTS = ((1, 0, 0, 0), (0, 5, 0, -8))
+
+
+def degree6_monomials(v: InvariantVector) -> tuple[Rational, Rational, Rational, Rational]:
+    """(p1^3, p1*p2, p1*pf, p3), the basis order of T_MATRIX."""
+    return (v.p1 ** 3, v.p1 * v.p2, v.p1 * v.pf, v.p3)
+
+
+def sigma_transform_invariants(v: InvariantVector) -> InvariantVector:
+    """Closed-form images of (p1, p2, p3, pf) under the order-3 automorphism,
+    read off T_MATRIX: p1 is fixed, so rows 1 and 2 applied to (p1^2, p2, pf)
+    give p2 and pf, and row 3 applied to the degree-6 monomials gives p3.
+
+    These four identities are the content of the headline check: applied to
+    invariant_vector(m) they must reproduce invariant_vector(sigma(m))
+    exactly, and iterating them three times is the identity."""
+    _, p2_row, pf_row, p3_row = T_MATRIX.rows
+    quartic = (v.p1 ** 2, v.p2, v.pf)
+    return InvariantVector(v.p1,
+                           sum(map(mul, p2_row[:3], quartic)),
+                           sum(map(mul, p3_row, degree6_monomials(v))),
+                           sum(map(mul, pf_row[:3], quartic)))
 
 
 def t_matrix(power: int = 1) -> SquareMatrix:
@@ -291,13 +311,12 @@ def t_matrix(power: int = 1) -> SquareMatrix:
 def fixed_degree6_space() -> list[tuple[int, ...]]:
     """Basis of the +1-eigenspace of T^t: the degree-6 functionals invariant
     under the order-3 action. Verified to be 2-dimensional and to contain
-    the functionals p1^3 and 5*p1*p2 - 8*p3 in its span."""
+    the functionals DEGREE6_INVARIANTS in its span."""
     basis = (T_MATRIX.transpose() - SquareMatrix.identity(4)).kernel_basis()
     if len(basis) != 2:
         raise ConsistencyError(f"degree-6 fixed space has dimension {len(basis)}, want 2")
     solver = SpanSolver(basis)
-    for probe in ((_ONE, _ZERO, _ZERO, _ZERO),
-                  (_ZERO, Fraction(5), _ZERO, Fraction(-8))):
+    for probe in DEGREE6_INVARIANTS:
         if solver.coords(probe) is None:
             raise ConsistencyError(f"degree-6 fixed space misses functional {probe}")
     return basis
@@ -322,12 +341,16 @@ def g2_restriction(m: So8Element) -> tuple[Rational, Rational]:
     if sigma(m) != m:
         raise ValueError("element is not fixed by the order-3 automorphism")
     v = invariant_vector(m)
-    return (v.p1 / 2, _restricted_c3(v))
+    return (v.p1 / 2, c3_polynomial(C3_COEFFICIENTS, v.p1, v.p2, v.p3))
 
 
-def _restricted_c3(v: InvariantVector) -> Rational:
-    a, b, g = C3_COEFFICIENTS
-    return a * v.p1 ** 3 + b * v.p1 * v.p2 + g * v.p3
+def c3_polynomial(coeffs: tuple[Rational, Rational, Rational],
+                  p1: Rational, p2: Rational, p3: Rational) -> Rational:
+    """a*p1^3 + b*p1*p2 + g*p3 for coeffs = (a, b, g): the restriction c3
+    with C3_COEFFICIENTS, and its rejected candidate with
+    CANDIDATE_C3_COEFFICIENTS."""
+    a, b, g = coeffs
+    return a * p1 ** 3 + b * p1 * p2 + g * p3
 
 
 def eta_model_values(h1: Rational, h2: Rational) -> tuple[Rational, Rational, Rational, Rational]:
@@ -362,39 +385,26 @@ def derive_c3_coefficients() -> dict:
     returned report confirms the family is exactly 1-dimensional, that the
     Newton-identity representative lies on it, and that the rejected
     candidate coefficients do not, with an explicit witness point."""
-    rows = []
-    rhs = []
-    for (h1, h2) in ETA_MODEL_POINTS:
-        p1, p2, p3, c3 = eta_model_values(h1, h2)
-        rows.append([p1 ** 3, p1 * p2, p3])
-        rhs.append(c3)
-
-    kernel = kernel_basis_of_rows(integer_rows(rows)[0], 3)
+    model = [eta_model_values(h1, h2) for h1, h2 in ETA_MODEL_POINTS]
+    kernel = kernel_basis_of_rows(
+        integer_rows([[p1 ** 3, p1 * p2, p3] for p1, p2, p3, _ in model])[0], 3)
 
     def residuals(coeffs):
-        a, b, g = coeffs
-        out = []
-        for row, target in zip(rows, rhs):
-            value = a * row[0] + b * row[1] + g * row[2]
-            out.append(value - target)
-        return out
+        return [c3_polynomial(coeffs, p1, p2, p3) - c3 for p1, p2, p3, c3 in model]
 
-    newton_ok = all(r == 0 for r in residuals(C3_COEFFICIENTS))
+    newton_ok = not any(residuals(C3_COEFFICIENTS))
     candidate_residuals = residuals(CANDIDATE_C3_COEFFICIENTS)
-    candidate_ok = all(r == 0 for r in candidate_residuals)
+    candidate_ok = not any(candidate_residuals)
 
     witness = None
-    for (point, res) in zip(ETA_MODEL_POINTS, candidate_residuals):
-        if res != 0:
-            h1, h2 = point
-            p1, p2, p3, c3 = eta_model_values(h1, h2)
-            a, b, g = CANDIDATE_C3_COEFFICIENTS
-            witness = {
-                "eta": [format_rational(h1), format_rational(h2), format_rational(-h1 - h2)],
-                "expected": format_rational(c3),
-                "candidate_value": format_rational(a * p1 ** 3 + b * p1 * p2 + g * p3),
-            }
-            break
+    miss = next((k for k, r in enumerate(candidate_residuals) if r), None)
+    if miss is not None:
+        (h1, h2), c3 = ETA_MODEL_POINTS[miss], model[miss][3]
+        witness = {
+            "eta": [format_rational(h1), format_rational(h2), format_rational(-h1 - h2)],
+            "expected": format_rational(c3),
+            "candidate_value": format_rational(candidate_residuals[miss] + c3),
+        }
 
     return {
         "derived_coefficients": [format_rational(c) for c in C3_COEFFICIENTS],
@@ -431,7 +441,7 @@ def eigenstructure_check(m: So8Element, tag: str, v: Optional[InvariantVector] =
     if tag == "g2":
         constraints["e2_is_quarter_e1_squared"] = 4 * e.e2 == e.e1 ** 2
         constraints["p2_is_quarter_p1_squared"] = 4 * v.p2 == v.p1 ** 2
-        constraints["c3_is_minus_e3"] = _restricted_c3(v) == -e.e3
+        constraints["c3_is_minus_e3"] = c3_polynomial(C3_COEFFICIENTS, v.p1, v.p2, v.p3) == -e.e3
         constraints["sigma_fixed"] = sigma(m) == m
     if tag == "so8":
         status = "generic"

@@ -16,6 +16,7 @@ import itertools
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import automorphisms, invariants, octonion, so8
@@ -386,11 +387,13 @@ def _check_t_matrix() -> dict:
 
 
 def _check_degree6_invariance(samples: list[_Sample]) -> dict:
+    # each functional takes the same value on the invariants of m and of sigma(m)
     def witness(k):
         v, w = samples[k].v, samples[k].w
-        cubic_ok = v.p1 ** 3 == w.p1 ** 3
-        mixed_ok = 5 * v.p1 * v.p2 - 8 * v.p3 == 5 * w.p1 * w.p2 - 8 * w.p3
-        if not (cubic_ok and mixed_ok):
+        before = invariants.degree6_monomials(v)
+        after = invariants.degree6_monomials(w)
+        if any(sum(map(mul, f, before)) != sum(map(mul, f, after))
+               for f in invariants.DEGREE6_INVARIANTS):
             return {"sample": k, "invariants": v.to_json(), "image_invariants": w.to_json()}
         return None
 
@@ -469,13 +472,12 @@ def _check_generic_eigenstructure(cfg: RunConfig, samples: list[_Sample]) -> dic
 
 
 def _check_c3_model() -> dict:
-    a, b, g = invariants.C3_COEFFICIENTS
     points = invariants.ETA_MODEL_POINTS
 
     def witness(k):
         h1, h2 = points[k]
         p1, p2, p3, expected = invariants.eta_model_values(h1, h2)
-        got = a * p1 ** 3 + b * p1 * p2 + g * p3
+        got = invariants.c3_polynomial(invariants.C3_COEFFICIENTS, p1, p2, p3)
         if got != expected:
             return {"eta": [format_rational(h1), format_rational(h2)],
                     "got": format_rational(got), "expected": format_rational(expected)}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -261,6 +262,19 @@ class TestFixedSubalgebras:
         sub = g2_fixed_subalgebra()
         assert sub.contains(sub.random_element(5))
         assert not sub.contains(So8Element.from_generator(Generator(0, 1)))
+
+    def test_random_element_is_the_seeded_basis_combination(self):
+        # a basis with unrelated denominators, against the sum of scaled
+        # basis elements under the same draws
+        g2 = g2_fixed_subalgebra()
+        sub = FixedSubalgebra([b.scale(Fraction(1, k + 2)) for k, b in enumerate(g2.basis)],
+                              "scaled")
+        for seed in range(5):
+            rng = random.Random(seed)
+            expected = So8Element.zero()
+            for b in sub.basis:
+                expected = expected + b.scale(rng.randint(-9, 9))
+            assert sub.random_element(seed) == expected
 
     def test_random_element_rejects_bound_below_one(self):
         sub = g2_fixed_subalgebra()

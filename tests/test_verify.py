@@ -138,6 +138,13 @@ def _octonion_table_entry(monkeypatch):
     monkeypatch.setattr(octonion, "_TABLE", tuple(map(tuple, table)))
 
 
+def _octonion_square(monkeypatch):
+    # e3^2 = +1
+    table = [list(row) for row in octonion.structure_constants()]
+    table[3][3] = (0, 1)
+    monkeypatch.setattr(octonion, "_TABLE", tuple(map(tuple, table)))
+
+
 def _rotation_matrix(monkeypatch):
     # the images of e3 and e5 swapped
     rows = [list(row) for row in octonion.rotation_matrix().numerators]
@@ -170,6 +177,16 @@ def _quadruples(monkeypatch):
     _shifted(monkeypatch, so8, "quadruples", lambda quads: tuple(reversed(quads)))
 
 
+def _quadruples_repeated(monkeypatch):
+    # G(0,1) of the first quadruple also in place of G(0,2) in the second
+    def repeat(quads):
+        second = quads[1]
+        gens = (quads[0].generators[0],) + second.generators[1:]
+        return (quads[0], dataclasses.replace(second, generators=gens)) + quads[2:]
+
+    _shifted(monkeypatch, so8, "quadruples", repeat)
+
+
 def _structure_table_sign(monkeypatch):
     # [G(0,1), G(1,2)] = G(0,2) recorded as -G(0,2)
     table = [list(row) for row in so8.structure_constants()]
@@ -181,9 +198,14 @@ def _structure_table_sign(monkeypatch):
 
 
 def _t_matrix(monkeypatch):
+    # the law is read off T, so its checks fail with it
     rows = [list(row) for row in invariants.T_MATRIX.rows]
     rows[1][2] = -rows[1][2]
     monkeypatch.setattr(invariants, "T_MATRIX", SquareMatrix(rows))
+
+
+def _degree6_invariants(monkeypatch):
+    monkeypatch.setattr(invariants, "DEGREE6_INVARIANTS", ((1, 0, 0, 0), (0, 5, 0, -7)))
 
 
 def _c3_coefficients(monkeypatch):
@@ -241,6 +263,12 @@ FAILURE_PATHS = [
                   "octonion.norm_composition"],
                  "3084eb118b43a36903308ed6beb1d6c7374e3ad6a6b4214836494b9fc214f38d",
                  id="octonion_table_entry"),
+    pytest.param(_octonion_square,
+                 ["octonion.table_rules",
+                  "octonion.rotation_automorphism",
+                  "octonion.norm_composition"],
+                 "6f0dac4af88469e9f11f0607caf848e86bbc6b3ef425e34ce5a62b667b596c4a",
+                 id="octonion_square"),
     pytest.param(_rotation_matrix,
                  ["octonion.rotation_automorphism"],
                  "c9d7ec30a9997c4b8ee20955d280441dc18120364f4858343d21c9621e6800e9",
@@ -269,15 +297,26 @@ FAILURE_PATHS = [
                  ["so8.quadruple_partition"],
                  "34e50034cbbdaa229fe6483902c481edaa43556c7c595c388fe486aa6daa6308",
                  id="quadruples"),
+    pytest.param(_quadruples_repeated,
+                 ["so8.quadruple_partition"],
+                 "029a4f1690d28e53d95515801add037910c77297bf0daf7cfaf71f6ba1ba59ac",
+                 id="quadruples_repeated"),
     pytest.param(_structure_table_sign,
                  ["so8.bracket_antisymmetry",
                   "triality.bracket_preservation"],
                  "94beefb2d7232dafebe18c2f64e85a9dab380a3a310181804821f9fe3c7df7fc",
                  id="structure_table_sign"),
     pytest.param(_t_matrix,
-                 ["invariants.t_matrix"],
-                 "9da5d6fa7f639f1b05785360f272eabd0fdcea1f310cd08a197ee90d5cc5b0ca",
+                 ["invariants.transformation_law",
+                  "invariants.transformation_order_three",
+                  "invariants.t_matrix"],
+                 "9397e6847683115748051dc132f422a2be5d97abc1bf99fc418c629585eb4f40",
                  id="t_matrix"),
+    pytest.param(_degree6_invariants,
+                 ["invariants.t_matrix",
+                  "invariants.degree6_invariance"],
+                 "f0b57d8ce22fbb67353a62f72157545d19f60a8fe2b58407ea7f0a0f52bc15ee",
+                 id="degree6_invariants"),
     pytest.param(_c3_coefficients,
                  ["invariants.g2_locus",
                   "invariants.c3_model",
