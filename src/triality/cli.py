@@ -3,8 +3,9 @@ order-3 action on user-supplied elements, fixed-subalgebra data, and raw
 structure dumps. All machine output is canonical JSON (sorted keys, two-space
 indent) so identical invocations are byte-identical.
 
-Exit codes: 0 all checks passed / command succeeded, 1 check failure or
-invalid input data, 2 usage error (bad flags, unreadable file, malformed JSON).
+Exit codes: 0 all checks passed / command succeeded, 1 check failure,
+invalid input data or a fixed subalgebra not identified, 2 usage error (bad
+flags, unreadable file, malformed JSON).
 """
 
 from __future__ import annotations
@@ -179,6 +180,10 @@ def _subalgebra_payload(sub: automorphisms.FixedSubalgebra) -> dict:
     }
 
 
+# the rank each fixed subalgebra must have: g2 and so(7) = B3
+_EXPECTED_RANK = {"g2": 2, "so7": 3}
+
+
 def _cmd_fixed(args) -> tuple[int, dict, list[str]]:
     g2 = _subalgebra_payload(automorphisms.g2_fixed_subalgebra())
     so7 = _subalgebra_payload(automorphisms.so7_fixed_subalgebra())
@@ -188,7 +193,9 @@ def _cmd_fixed(args) -> tuple[int, dict, list[str]]:
                        ("involution fixed subalgebra", so7)):
         lines.append(f"{name}: dim {data['dim']}, rank {data['rank']}, "
                      f"killing nondegenerate: {data['killing_nondegenerate']}")
-    return 0, payload, lines
+    identified = all(data["killing_nondegenerate"] and data["rank"] == _EXPECTED_RANK[data["tag"]]
+                     for data in (g2, so7))
+    return (0 if identified else 1), payload, lines
 
 
 def _cmd_dump(args) -> tuple[int, dict, list[str]]:

@@ -177,20 +177,57 @@ def _index_rule(x: Generator, y: Generator) -> Optional[tuple[int, int]]:
     return None
 
 
+_PAIR_COUNT = DIMENSION * DIMENSION
+# 3 in each of the 784 octal digits, added to every coefficient of [X, Y]
+_DIGIT_SHIFT = 3 * (8 ** _PAIR_COUNT - 1) // 7
+
+
+def _generator_brackets() -> list[str]:
+    """The 784 brackets [G_a, G_b] from one commutator [X, Y], with
+    X = sum_a 8^a G_a and Y = sum_b 8^(28b) G_b: by bilinearity the G_c
+    coefficient of [X, Y] is sum_ab 8^(a + 28b) [G_a, G_b]_c. A row of a
+    generator matrix has at most one nonzero entry, so each coefficient of
+    [G_a, G_b] lies in [-2, 2], and the coefficient plus 3 (8^784 - 1)/7
+    spells those digits + 3 in octal. Entry c of the result is that
+    spelling, 784 digits read from the lowest, so the digit of pair (a, b)
+    is at a + 28b."""
+    x = So8Element.from_integers([8 ** a for a in range(DIMENSION)], 1)
+    y = So8Element.from_integers([8 ** (DIMENSION * b) for b in range(DIMENSION)], 1)
+    z = bracket(x, y)
+    if z.denominator != 1:
+        raise ConsistencyError(f"the generator brackets have denominator {z.denominator}")
+    digits = []
+    for c, coefficient in enumerate(z.numerators):
+        shifted = coefficient + _DIGIT_SHIFT
+        text = format(shifted, "o")
+        if shifted < 0 or len(text) > _PAIR_COUNT:
+            raise ConsistencyError(f"the {GENERATORS[c].label} coefficient of the generator "
+                                   "brackets is out of the range of 784 octal digits")
+        digits.append(text.zfill(_PAIR_COUNT)[::-1])
+    return digits
+
+
 @functools.cache
 def structure_constants() -> tuple[tuple[Optional[tuple[int, int]], ...], ...]:
     """The bracket on generators: entry [a][b] is (c, s) when [G_a, G_b] = s * G_c
-    and None when it is zero, indices into GENERATORS. Each of the 784 brackets
-    is the matrix commutator, formed once; one that is not zero or a single
-    +-1 generator, or that differs from the index rule of `_index_rule`, raises."""
-    elements = [So8Element.from_generator(g) for g in GENERATORS]
+    and None when it is zero, indices into GENERATORS. The 784 brackets are
+    read off one matrix commutator (`_generator_brackets`); one that is not
+    zero or a single +-1 generator, or that differs from the index rule of
+    `_index_rule`, raises.
+
+    Sound for every pair: if the decoded table T equals the index rule, then
+    [X, Y] = sum_k 8^k T_k exactly. The dense brackets B_k = [G_a, G_b] sum
+    to the same value by bilinearity, so sum_k 8^k (B_k - T_k) = 0. Every
+    entry of B_k - T_k has size at most 3, and a base-8 sum whose terms are
+    all below 8 in size vanishes only term by term; so every B_k equals T_k."""
+    digits = _generator_brackets()
     table = []
-    for a, x in enumerate(elements):
+    for a in range(DIMENSION):
         row = []
-        for b, y in enumerate(elements):
-            z = bracket(x, y)
-            terms = [(c, s) for c, s in enumerate(z.numerators) if s]
-            if len(terms) > 1 or z.denominator != 1 or any(s not in (1, -1) for _, s in terms):
+        for b in range(DIMENSION):
+            k = a + DIMENSION * b
+            terms = [(c, int(d[k]) - 3) for c, d in enumerate(digits) if d[k] != "3"]
+            if len(terms) > 1 or any(s not in (1, -1) for _, s in terms):
                 raise ConsistencyError(f"[{GENERATORS[a].label}, {GENERATORS[b].label}] "
                                        "is not a single signed generator")
             entry = terms[0] if terms else None

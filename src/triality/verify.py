@@ -381,9 +381,13 @@ _EXPECTED_T_SQUARED = SquareMatrix([
 def _check_t_matrix() -> dict:
     cube_ok = invariants.t_matrix(3) == SquareMatrix.identity(4)
     square_ok = invariants.t_matrix(2) == _EXPECTED_T_SQUARED
-    space = invariants.fixed_degree6_space()
-    return _entry(cube_ok and square_ok and len(space) == 2, cube_is_identity=cube_ok,
-                  square_matches=square_ok, fixed_space_dim=len(space))
+    fields = {"cube_is_identity": cube_ok, "square_matches": square_ok}
+    try:
+        space = invariants.fixed_degree6_space()
+    except ConsistencyError as exc:
+        return _entry(False, error=str(exc), **fields)
+    return _entry(cube_ok and square_ok and len(space) == 2, fixed_space_dim=len(space),
+                  **fields)
 
 
 def _check_degree6_invariance(samples: list[_Sample]) -> dict:

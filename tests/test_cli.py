@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from triality import cli, invariants
+from triality import automorphisms, cli, invariants
 from triality.cli import main
 from triality.invariants import (canonical_block_element, invariant_vector,
                                  sigma_transform_invariants)
@@ -247,6 +247,24 @@ class TestFixedCommand:
         assert (so7["dim"], so7["rank"], so7["killing_nondegenerate"]) == (21, 3, True)
         assert len(g2["basis_coeffs"]) == 14
         assert len(so7["basis_coeffs"]) == 21
+
+    @pytest.mark.parametrize("tag, field, value", [
+        ("g2", "killing_nondegenerate", False),
+        ("so7", "killing_nondegenerate", False),
+        ("g2", "rank", 3),
+        ("so7", "rank", 2),
+    ])
+    def test_failed_identification_exits_1(self, tag, field, value, monkeypatch, capsys):
+        identify = automorphisms.identify_fixed_algebra
+
+        def wrong(sub):
+            structure = identify(sub)
+            return {**structure, field: value} if sub.tag == tag else structure
+
+        monkeypatch.setattr(automorphisms, "identify_fixed_algebra", wrong)
+        for argv in (["fixed"], ["fixed", "--json"]):
+            assert main(argv) == 1
+            assert capsys.readouterr().out
 
 
 class TestDumpCommand:

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import NON_CANONICAL_ENTRIES
-from triality import SquareMatrix
+from triality import SquareMatrix, so8
 from triality.automorphisms import TrialityMap, sigma
-from triality.exact import format_rational
+from triality.exact import ConsistencyError, format_rational
 from triality.so8 import (DIMENSION, GENERATORS, Generator, So8Element, bracket,
                           generator_matrix, quadruples, random_element,
                           structure_constants)
@@ -119,6 +119,15 @@ def index_rule_bracket(i: int, j: int, k: int, l: int) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
+@pytest.fixture
+def uncached_table():
+    """Empty the structure-constant cache before and after the test, so that
+    a table built under a perturbation reaches no other test."""
+    structure_constants.cache_clear()
+    yield
+    structure_constants.cache_clear()
+
+
 class TestStructureConstants:
     """The table of single-term generator brackets (c, s), meaning s * G_c."""
 
@@ -138,6 +147,45 @@ class TestStructureConstants:
             for b in range(DIMENSION):
                 t = table[b][a]
                 assert table[a][b] == (None if t is None else (t[0], -t[1]))
+
+    def test_matches_dense_brackets_one_by_one(self):
+        # the table is read off one commutator; each pair's own commutator
+        # is the oracle
+        elems = [So8Element.from_generator(g) for g in GENERATORS]
+        table = structure_constants()
+        for a, x in enumerate(elems):
+            for b, y in enumerate(elems):
+                t = table[a][b]
+                expected = So8Element.zero() if t is None else elems[t[0]].scale(t[1])
+                assert bracket(x, y) == expected, (GENERATORS[a], GENERATORS[b])
+
+    @pytest.mark.parametrize("factor, message", [
+        (2, r"\[G\(0,1\), G\(0,2\)\] is not a single signed generator"),
+        # every coefficient of the combined commutator is a multiple of 8, so
+        # halving it leaves an integer that decodes to wrong digits
+        (Fraction(1, 2), r"\[G\(0,1\), G\(0,1\)\] is not a single signed generator"),
+        (Fraction(1, 3), "the generator brackets have denominator 3"),
+        (-1, r"\[G\(0,1\), G\(0,2\)\] disagrees with the index rule"),
+        (8 ** 784, "out of the range of 784 octal digits"),
+        (-(8 ** 784), "out of the range of 784 octal digits"),
+    ], ids=["doubled", "halved", "thirds", "negated", "too_long", "negative"])
+    def test_a_scaled_bracket_raises(self, factor, message, monkeypatch, uncached_table):
+        monkeypatch.setattr(so8, "bracket", lambda x, y: bracket(x, y).scale(factor))
+        with pytest.raises(ConsistencyError, match=message):
+            structure_constants()
+
+    def test_a_sign_flipped_index_rule_raises(self, monkeypatch, uncached_table):
+        rule = so8._index_rule
+        pair = (Generator(0, 1), Generator(1, 2))
+
+        def flipped(x, y):
+            entry = rule(x, y)
+            return (entry[0], -entry[1]) if (x, y) == pair else entry
+
+        monkeypatch.setattr(so8, "_index_rule", flipped)
+        with pytest.raises(ConsistencyError,
+                           match=r"\[G\(0,1\), G\(1,2\)\] disagrees with the index rule"):
+            structure_constants()
 
 
 class TestQuadruples:

@@ -197,6 +197,18 @@ def _structure_table_sign(monkeypatch):
     monkeypatch.setattr(automorphisms, "so8_structure_constants", lambda: table)
 
 
+def _index_rule_sign(monkeypatch):
+    # [G(0,1), G(1,2)] = G(0,2) stated as -G(0,2) by the rule that checks the table
+    rule = so8._index_rule
+    pair = (so8.Generator(0, 1), so8.Generator(1, 2))
+
+    def flipped(x, y):
+        entry = rule(x, y)
+        return (entry[0], -entry[1]) if (x, y) == pair else entry
+
+    monkeypatch.setattr(so8, "_index_rule", flipped)
+
+
 def _t_matrix(monkeypatch):
     # the law is read off T, so its checks fail with it
     rows = [list(row) for row in invariants.T_MATRIX.rows]
@@ -306,16 +318,21 @@ FAILURE_PATHS = [
                   "triality.bracket_preservation"],
                  "94beefb2d7232dafebe18c2f64e85a9dab380a3a310181804821f9fe3c7df7fc",
                  id="structure_table_sign"),
+    pytest.param(_index_rule_sign,
+                 ["so8.bracket_antisymmetry",
+                  "triality.bracket_preservation"],
+                 "67417d84f8ef955c38d146043deb3a0b30ddaeec51fb3e2a5cac26da91875b13",
+                 id="index_rule_sign"),
     pytest.param(_t_matrix,
                  ["invariants.transformation_law",
                   "invariants.transformation_order_three",
                   "invariants.t_matrix"],
-                 "9397e6847683115748051dc132f422a2be5d97abc1bf99fc418c629585eb4f40",
+                 "df57ee4b2324df85525b1ecf5e8f6a4a635bcdc656fe4b6cf50f3527372660c6",
                  id="t_matrix"),
     pytest.param(_degree6_invariants,
                  ["invariants.t_matrix",
                   "invariants.degree6_invariance"],
-                 "f0b57d8ce22fbb67353a62f72157545d19f60a8fe2b58407ea7f0a0f52bc15ee",
+                 "097e5c241e0c0e8a728fe777d7c71e70682cbb6eca6abc7781ce88d6ce233ba1",
                  id="degree6_invariants"),
     pytest.param(_c3_coefficients,
                  ["invariants.g2_locus",
