@@ -177,66 +177,44 @@ def _index_rule(x: Generator, y: Generator) -> Optional[tuple[int, int]]:
     return None
 
 
-_PAIR_COUNT = DIMENSION * DIMENSION
-# 3 in each of the 784 octal digits, added to every coefficient of [X, Y]
-_DIGIT_SHIFT = 3 * (8 ** _PAIR_COUNT - 1) // 7
-
-
-def _generator_brackets() -> list[str]:
-    """The 784 brackets [G_a, G_b] from one commutator [X, Y], with
-    X = sum_a 8^a G_a and Y = sum_b 8^(28b) G_b: by bilinearity the G_c
-    coefficient of [X, Y] is sum_ab 8^(a + 28b) [G_a, G_b]_c. A row of a
-    generator matrix has at most one nonzero entry, so each coefficient of
-    [G_a, G_b] lies in [-2, 2], and the coefficient plus 3 (8^784 - 1)/7
-    spells those digits + 3 in octal. Entry c of the result is that
-    spelling, 784 digits read from the lowest, so the digit of pair (a, b)
-    is at a + 28b."""
-    x = So8Element.from_integers([8 ** a for a in range(DIMENSION)], 1)
-    y = So8Element.from_integers([8 ** (DIMENSION * b) for b in range(DIMENSION)], 1)
-    z = bracket(x, y)
-    if z.denominator != 1:
-        raise ConsistencyError(f"the generator brackets have denominator {z.denominator}")
-    digits = []
-    for c, coefficient in enumerate(z.numerators):
-        shifted = coefficient + _DIGIT_SHIFT
-        text = format(shifted, "o")
-        if shifted < 0 or len(text) > _PAIR_COUNT:
-            raise ConsistencyError(f"the {GENERATORS[c].label} coefficient of the generator "
-                                   "brackets is out of the range of 784 octal digits")
-        digits.append(text.zfill(_PAIR_COUNT)[::-1])
-    return digits
-
-
 @functools.cache
 def structure_constants() -> tuple[tuple[Optional[tuple[int, int]], ...], ...]:
     """The bracket on generators: entry [a][b] is (c, s) when [G_a, G_b] = s * G_c
-    and None when it is zero, indices into GENERATORS. The 784 brackets are
-    read off one matrix commutator (`_generator_brackets`); one that is not
-    zero or a single +-1 generator, or that differs from the index rule of
-    `_index_rule`, raises.
+    and None when it is zero, indices into GENERATORS. The index rule of
+    `_index_rule` builds the table, and one matrix commutator [X, Y] checks
+    all 784 entries: with X = sum_a 8^(28a) G_a and Y = sum_b 8^b G_b, the
+    G_c coefficient of [X, Y] is sum_k 8^k [G_a, G_b]_c by bilinearity, at
+    k = 28a + b, and it must equal sum_k 8^k T_k,c for the table T. A
+    non-integral [X, Y] raises, and so does a mismatch, naming the first pair
+    whose digit differs.
 
-    Sound for every pair: if the decoded table T equals the index rule, then
-    [X, Y] = sum_k 8^k T_k exactly. The dense brackets B_k = [G_a, G_b] sum
-    to the same value by bilinearity, so sum_k 8^k (B_k - T_k) = 0. Every
-    entry of B_k - T_k has size at most 3, and a base-8 sum whose terms are
-    all below 8 in size vanishes only term by term; so every B_k equals T_k."""
-    digits = _generator_brackets()
-    table = []
-    for a in range(DIMENSION):
-        row = []
-        for b in range(DIMENSION):
-            k = a + DIMENSION * b
-            terms = [(c, int(d[k]) - 3) for c, d in enumerate(digits) if d[k] != "3"]
-            if len(terms) > 1 or any(s not in (1, -1) for _, s in terms):
-                raise ConsistencyError(f"[{GENERATORS[a].label}, {GENERATORS[b].label}] "
-                                       "is not a single signed generator")
-            entry = terms[0] if terms else None
-            if entry != _index_rule(GENERATORS[a], GENERATORS[b]):
-                raise ConsistencyError(f"[{GENERATORS[a].label}, {GENERATORS[b].label}] "
-                                       "disagrees with the index rule")
-            row.append(entry)
-        table.append(tuple(row))
-    return tuple(table)
+    Sound for every pair: the dense brackets B_k = [G_a, G_b] sum to [X, Y],
+    so agreement gives sum_k 8^k (B_k - T_k) = 0. A row of a generator matrix
+    has at most one nonzero entry, so each coefficient of B_k lies in [-2, 2]
+    and each entry of B_k - T_k has size at most 3; a base-8 sum whose terms
+    are all below 8 in size vanishes only term by term, so every B_k equals
+    T_k. For the same reason the lowest digit k where they differ is
+    v2(d) // 3 for the difference d of a coefficient."""
+    table = tuple(tuple(_index_rule(x, y) for y in GENERATORS) for x in GENERATORS)
+    x = So8Element.from_integers([8 ** (DIMENSION * a) for a in range(DIMENSION)], 1)
+    y = So8Element.from_integers([8 ** b for b in range(DIMENSION)], 1)
+    z = bracket(x, y)
+    if z.denominator != 1:
+        raise ConsistencyError(f"the generator brackets have denominator {z.denominator}")
+    expected = [0] * DIMENSION
+    for k, entry in enumerate(entry for row in table for entry in row):
+        if entry is not None:
+            expected[entry[0]] += entry[1] << (3 * k)
+    differences = [got - want for got, want in zip(z.numerators, expected) if got != want]
+    if differences:
+        k = min((d & -d).bit_length() - 1 for d in differences) // 3
+        if k >= DIMENSION * DIMENSION:
+            raise ConsistencyError("the generator brackets disagree with the index rule "
+                                   "past the last pair")
+        a, b = divmod(k, DIMENSION)
+        raise ConsistencyError(f"[{GENERATORS[a].label}, {GENERATORS[b].label}] "
+                               "disagrees with the index rule")
+    return table
 
 
 @dataclass(frozen=True)

@@ -149,8 +149,8 @@ class TestStructureConstants:
                 assert table[a][b] == (None if t is None else (t[0], -t[1]))
 
     def test_matches_dense_brackets_one_by_one(self):
-        # the table is read off one commutator; each pair's own commutator
-        # is the oracle
+        # the table is checked against one commutator; each pair's own
+        # commutator is the oracle
         elems = [So8Element.from_generator(g) for g in GENERATORS]
         table = structure_constants()
         for a, x in enumerate(elems):
@@ -160,31 +160,44 @@ class TestStructureConstants:
                 assert bracket(x, y) == expected, (GENERATORS[a], GENERATORS[b])
 
     @pytest.mark.parametrize("factor, message", [
-        (2, r"\[G\(0,1\), G\(0,2\)\] is not a single signed generator"),
+        (2, r"\[G\(0,1\), G\(0,2\)\] disagrees with the index rule"),
         # every coefficient of the combined commutator is a multiple of 8, so
-        # halving it leaves an integer that decodes to wrong digits
-        (Fraction(1, 2), r"\[G\(0,1\), G\(0,1\)\] is not a single signed generator"),
+        # halving it leaves an integer, first off at the digit below the
+        # first nonzero bracket
+        (Fraction(1, 2), r"\[G\(0,1\), G\(0,1\)\] disagrees with the index rule"),
         (Fraction(1, 3), "the generator brackets have denominator 3"),
         (-1, r"\[G\(0,1\), G\(0,2\)\] disagrees with the index rule"),
-        (8 ** 784, "out of the range of 784 octal digits"),
-        (-(8 ** 784), "out of the range of 784 octal digits"),
+        (8 ** 784, r"\[G\(0,1\), G\(0,2\)\] disagrees with the index rule"),
+        (-(8 ** 784), r"\[G\(0,1\), G\(0,2\)\] disagrees with the index rule"),
     ], ids=["doubled", "halved", "thirds", "negated", "too_long", "negative"])
     def test_a_scaled_bracket_raises(self, factor, message, monkeypatch, uncached_table):
         monkeypatch.setattr(so8, "bracket", lambda x, y: bracket(x, y).scale(factor))
         with pytest.raises(ConsistencyError, match=message):
             structure_constants()
 
-    def test_a_sign_flipped_index_rule_raises(self, monkeypatch, uncached_table):
+    def test_a_difference_past_the_last_pair_raises(self, monkeypatch, uncached_table):
+        # 8^784 G(0,1) added to [X, Y] is a digit beyond pair 783
+        extra = So8Element.from_integers([8 ** 784] + [0] * (DIMENSION - 1), 1)
+        monkeypatch.setattr(so8, "bracket", lambda x, y: bracket(x, y) + extra)
+        with pytest.raises(ConsistencyError, match="index rule past the last pair"):
+            structure_constants()
+
+    @pytest.mark.parametrize("pairs, named", [
+        ([((0, 1), (1, 2))], r"\[G\(0,1\), G\(1,2\)\]"),
+        ([((6, 7), (5, 7))], r"\[G\(6,7\), G\(5,7\)\]"),
+        ([((6, 7), (5, 7)), ((0, 1), (1, 2))], r"\[G\(0,1\), G\(1,2\)\]"),
+    ], ids=["early", "late", "first_of_two"])
+    def test_a_sign_flipped_index_rule_raises(self, pairs, named, monkeypatch,
+                                              uncached_table):
         rule = so8._index_rule
-        pair = (Generator(0, 1), Generator(1, 2))
+        flips = {(Generator(*x), Generator(*y)) for x, y in pairs}
 
         def flipped(x, y):
             entry = rule(x, y)
-            return (entry[0], -entry[1]) if (x, y) == pair else entry
+            return (entry[0], -entry[1]) if (x, y) in flips else entry
 
         monkeypatch.setattr(so8, "_index_rule", flipped)
-        with pytest.raises(ConsistencyError,
-                           match=r"\[G\(0,1\), G\(1,2\)\] disagrees with the index rule"):
+        with pytest.raises(ConsistencyError, match=named + " disagrees with the index rule"):
             structure_constants()
 
 

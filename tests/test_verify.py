@@ -209,6 +209,20 @@ def _index_rule_sign(monkeypatch):
     monkeypatch.setattr(so8, "_index_rule", flipped)
 
 
+def _involution_sign(monkeypatch):
+    # G(0,1) flipped by the outer involution, whose fixed locus is then 20-dim
+    signs = (-automorphisms._INVOLUTION_SIGNS[0],) + automorphisms._INVOLUTION_SIGNS[1:]
+    monkeypatch.setattr(automorphisms, "_INVOLUTION_SIGNS", signs)
+
+
+def _generic_eigenstructure(monkeypatch):
+    # a generic element reported as meeting the constraints of a locus
+    def passing(check):
+        return dict(check, status="pass") if check["tag"] == "so8" else check
+
+    _shifted(monkeypatch, invariants, "eigenstructure_check", passing)
+
+
 def _t_matrix(monkeypatch):
     # the law is read off T, so its checks fail with it
     rows = [list(row) for row in invariants.T_MATRIX.rows]
@@ -298,7 +312,7 @@ FAILURE_PATHS = [
                   "so8.bracket_antisymmetry",
                   "triality.bracket_preservation",
                   "invariants.pfaffian_consistency"],
-                 "165e06019070b93b6b6856242c41f8cd9e0496c1f9975b53d32cef82737901dd",
+                 "d202aa537d568f9041137fb3edfc77e590dd6a34c029e9ddad67eef9582c37ec",
                  id="from_matrix"),
     pytest.param(_zero_bracket,
                  ["so8.bracket_antisymmetry",
@@ -323,6 +337,15 @@ FAILURE_PATHS = [
                   "triality.bracket_preservation"],
                  "67417d84f8ef955c38d146043deb3a0b30ddaeec51fb3e2a5cac26da91875b13",
                  id="index_rule_sign"),
+    pytest.param(_involution_sign,
+                 ["triality.fixed_dims",
+                  "invariants.so7_locus"],
+                 "8c87d410b5fbb4d9457da2be651f00f63b2a8a7917eaec8ed7956b678d0f0d30",
+                 id="involution_sign"),
+    pytest.param(_generic_eigenstructure,
+                 ["invariants.generic_eigenstructure"],
+                 "3ee6c5d7a8a2bf6e41327877a54556c65b4a9ac1907cd3a8413823d899661dff",
+                 id="generic_eigenstructure"),
     pytest.param(_t_matrix,
                  ["invariants.transformation_law",
                   "invariants.transformation_order_three",
