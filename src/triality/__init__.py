@@ -12,7 +12,7 @@ from .octonion import (FANO_LINES, Octonion, basis_product, inner_product,
                        is_algebra_automorphism, multiplication_table_symbols,
                        rotation_automorphism, rotation_matrix, structure_constants)
 from .so8 import (DIMENSION, GENERATORS, Generator, Quadruple, So8Element,
-                  bracket, generator_matrix, quadruples, random_element)
+                  bracket, quadruples, random_element)
 from .automorphisms import (ORDER3_BLOCK, FixedSubalgebra, TrialityMap,
                             fixed_subalgebra, g2_fixed_subalgebra,
                             identify_fixed_algebra, killing_form,
@@ -25,7 +25,7 @@ from .invariants import (C3_COEFFICIENTS, T_MATRIX, InvariantVector,
                          invariant_vector, newton_coefficients,
                          pfaffian_matchings, pfaffian_permutation_sum,
                          sigma_transform_invariants, spectral_coefficients,
-                         t_matrix, tr_power)
+                         tr_power)
 from .verify import RunConfig, SUITES, build_report, report_passed
 
 __version__ = "0.1.0"
@@ -36,7 +36,7 @@ __all__ = [
     "is_algebra_automorphism", "multiplication_table_symbols",
     "rotation_automorphism", "rotation_matrix", "structure_constants",
     "DIMENSION", "GENERATORS", "Generator", "Quadruple", "So8Element",
-    "bracket", "generator_matrix", "quadruples", "random_element",
+    "bracket", "quadruples", "random_element",
     "ORDER3_BLOCK", "FixedSubalgebra", "TrialityMap", "fixed_subalgebra",
     "g2_fixed_subalgebra", "identify_fixed_algebra", "killing_form",
     "outer_involution", "sigma", "so7_fixed_subalgebra",
@@ -46,7 +46,6 @@ __all__ = [
     "eigenstructure_check", "eta_model_values", "fixed_degree6_space",
     "g2_restriction", "invariant_vector", "newton_coefficients",
     "pfaffian_matchings", "pfaffian_permutation_sum",
-    "sigma_transform_invariants", "spectral_coefficients", "t_matrix",
-    "tr_power",
+    "sigma_transform_invariants", "spectral_coefficients", "tr_power",
     "RunConfig", "SUITES", "build_report", "report_passed",
 ]

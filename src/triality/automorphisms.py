@@ -36,14 +36,11 @@ from .so8 import (DIMENSION, GENERATORS, So8Element, bracket, quadruples,
                   random_element, structure_constants as so8_structure_constants)
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 
-ORDER3_BLOCK = SquareMatrix([
-    [-_HALF, -_HALF, -_HALF, -_HALF],
-    [_HALF, _HALF, -_HALF, -_HALF],
-    [_HALF, -_HALF, _HALF, -_HALF],
-    [_HALF, -_HALF, -_HALF, _HALF],
-])
+ORDER3_BLOCK = SquareMatrix.from_integers([[-1, -1, -1, -1],
+                                           [1, 1, -1, -1],
+                                           [1, -1, 1, -1],
+                                           [1, -1, -1, 1]], 2)
 
 # conjugation by diag(1,...,1,-1) scales G(i,j) by a_i * a_j: -1 exactly when j = 7
 _INVOLUTION_SIGNS = tuple(-1 if g.j == 7 else 1 for g in GENERATORS)
@@ -80,9 +77,9 @@ class TrialityMap:
     @classmethod
     def corrupted(cls) -> "TrialityMap":
         """Negative-control variant: one sign of the block flipped."""
-        rows = [list(r) for r in ORDER3_BLOCK.rows]
+        rows = [list(r) for r in ORDER3_BLOCK.numerators]
         rows[1][1] = -rows[1][1]
-        return cls(SquareMatrix(rows))
+        return cls(SquareMatrix.from_integers(rows, ORDER3_BLOCK.denominator))
 
     def apply(self, x: So8Element) -> So8Element:
         """full * x as a sparse integer product over den(full) * den(x)."""
@@ -199,7 +196,7 @@ class FixedSubalgebra:
         self.basis = tuple(basis)
         self.tag = tag
         self._solver = SpanSolver([b.coeffs for b in self.basis])
-        self._structure: Optional[list[list[tuple[Rational, ...]]]] = None
+        self._structure: Optional[tuple[tuple[tuple[Rational, ...], ...], ...]] = None
 
     @property
     def dim(self) -> int:
@@ -221,8 +218,9 @@ class FixedSubalgebra:
         columns = zip(*(b.numerators for b in self.basis))
         return So8Element.from_integers([sum(map(mul, weights, col)) for col in columns], den)
 
-    def structure_constants(self) -> list[list[tuple[Rational, ...]]]:
-        """Coordinates of [b_i, b_j] in the basis; raises if the span is not closed."""
+    def structure_constants(self) -> tuple[tuple[tuple[Rational, ...], ...], ...]:
+        """Coordinates of [b_i, b_j] in the basis, as a read-only table shared
+        by every caller; raises if the span is not closed."""
         if self._structure is None:
             d = self.dim
             zero = (_ZERO,) * d
@@ -236,24 +234,29 @@ class FixedSubalgebra:
                             f"[b{i}, b{j}] falls outside the span")
                     table[i][j] = coords
                     table[j][i] = tuple(-c for c in coords)
-            self._structure = table
+            self._structure = tuple(map(tuple, table))
         return self._structure
+
+    @functools.cached_property
+    def adjoint(self) -> tuple[tuple[tuple[int, int, Rational], ...], ...]:
+        """The nonzero entries (k, j, ad(b_i)[k][j]) of each ad(b_i), read once
+        off the structure table: ad(b_i)[k][j] = table[i][j][k]."""
+        table = self.structure_constants()
+        d = self.dim
+        return tuple(tuple((k, j, table[i][j][k]) for j in range(d) for k in range(d)
+                           if table[i][j][k] != 0)
+                     for i in range(d))
 
     def ad_matrix(self, coeffs: Sequence[Rational]) -> SquareMatrix:
         """ad(x) in the subalgebra's own basis, for x = sum(coeffs[i] * b_i)."""
         d = self.dim
         if len(coeffs) != d:
             raise ValueError(f"need {d} coefficients, got {len(coeffs)}")
-        table = self.structure_constants()
         rows = [[_ZERO] * d for _ in range(d)]
-        for i, ci in enumerate(coeffs):
-            if ci == 0:
-                continue
-            for j in range(d):
-                cij = table[i][j]
-                for k in range(d):
-                    if cij[k] != 0:
-                        rows[k][j] += ci * cij[k]
+        for ci, terms in zip(coeffs, self.adjoint):
+            if ci != 0:
+                for k, j, v in terms:
+                    rows[k][j] += ci * v
         return SquareMatrix(rows)
 
 
@@ -292,18 +295,13 @@ def killing_form(sub: FixedSubalgebra) -> SquareMatrix:
     """kappa(b_i, b_j) = Tr(ad b_i * ad b_j) in the subalgebra's adjoint representation."""
     d = sub.dim
     table = sub.structure_constants()
-    # nonzeros of ad(b_i): ad_i[k][j] = table[i][j][k]
-    nonzeros = []
-    for i in range(d):
-        nz = [(k, j, table[i][j][k])
-              for j in range(d) for k in range(d) if table[i][j][k] != 0]
-        nonzeros.append(nz)
+    adjoint = sub.adjoint
     rows = [[_ZERO] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            # Tr(ad_i ad_j) = sum_{k,l} ad_i[k][l] * ad_j[l][k]
+            # Tr(ad_i ad_j) = sum_{k,l} ad_i[k][l] * ad_j[l][k], ad_j[l][k] = table[j][k][l]
             total = _ZERO
-            for (k, l, v) in nonzeros[i]:
+            for (k, l, v) in adjoint[i]:
                 w = table[j][k][l]
                 if w != 0:
                     total += v * w

@@ -213,8 +213,8 @@ def _cmd_dump(args) -> tuple[int, dict, list[str]]:
                         "signs": list(q.signs)} for q in quads],
         "order3_block": tmap.block.to_json(),
         "order3_full": tmap.full.to_json(),
-        "t_matrix": invariants.t_matrix(1).to_json(),
-        "t_matrix_squared": invariants.t_matrix(2).to_json(),
+        "t_matrix": invariants.T_MATRIX.to_json(),
+        "t_matrix_squared": invariants.T_MATRIX.power(2).to_json(),
         "g2_basis": [b.to_json("coeffs")["coeffs"] for b in g2.basis],
         "so7_basis": [b.to_json("coeffs")["coeffs"] for b in so7.basis],
     }

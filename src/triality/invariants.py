@@ -20,9 +20,12 @@ Pf(B(l1..l4)) = l1*l2*l3*l4, positive on the all-ones block model.
 `spectral_coefficients` reads the same e_j off the principal minors instead:
 e_j is the sum of the principal 2j x 2j minors of M, and by Cayley's identity
 each of them is the square of the Pfaffian of its principal submatrix. So
-e1..e3 come from the 28 + 70 + 28 principal sub-Pfaffians and e4 = det(M)
-from Bareiss elimination, independently of the trace powers and of the
-105-matching Pfaffian that Newton's identities use.
+e1..e3 come from the 28 + 70 + 28 principal sub-Pfaffians, independently of
+the trace powers that Newton's identities use, and e4 = det(M) from Bareiss
+elimination, independently of the Pfaffian. One first-point expansion serves
+both: its levels 1-3 are these sub-Pfaffians, and its level 4, multiplied
+out, is the 105-matching sum for Pf(M), which the 5040-term permutation sum
+and the determinant check.
 
 The transformation law under the order-3 automorphism is typed once, as the
 degree-6 matrix T_MATRIX, and `sigma_transform_invariants` reads it off; the
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
@@ -54,8 +57,19 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+class _RationalFields:
+    """The fields of a frozen dataclass of rationals, in declaration order:
+    as a tuple, and as JSON rational strings."""
+
+    def as_tuple(self) -> tuple[Rational, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def to_json(self) -> dict:
+        return {f.name: format_rational(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class InvariantVector:
+class InvariantVector(_RationalFields):
     """The basis values (Tr M^2, Tr M^4, Tr M^6, Pf M) of an so(8) element."""
 
     p1: Rational
@@ -63,29 +77,15 @@ class InvariantVector:
     p3: Rational
     pf: Rational
 
-    def as_tuple(self) -> tuple[Rational, Rational, Rational, Rational]:
-        return (self.p1, self.p2, self.p3, self.pf)
-
-    def to_json(self) -> dict:
-        return {k: format_rational(v) for k, v in
-                (("p1", self.p1), ("p2", self.p2), ("p3", self.p3), ("pf", self.pf))}
-
 
 @dataclass(frozen=True)
-class SpectralCoefficients:
+class SpectralCoefficients(_RationalFields):
     """Elementary symmetric functions e_j of the squared block parameters."""
 
     e1: Rational
     e2: Rational
     e3: Rational
     e4: Rational
-
-    def as_tuple(self) -> tuple[Rational, Rational, Rational, Rational]:
-        return (self.e1, self.e2, self.e3, self.e4)
-
-    def to_json(self) -> dict:
-        return {k: format_rational(v) for k, v in
-                (("e1", self.e1), ("e2", self.e2), ("e3", self.e3), ("e4", self.e4))}
 
 
 def tr_power(m: So8Element, k: int) -> Rational:
@@ -112,26 +112,18 @@ def canonical_block_element(lams: Sequence[Rational]) -> So8Element:
 # Bareiss determinant is also e4 in spectral_coefficients below.
 # ---------------------------------------------------------------------------
 
-def _matchings(points: tuple[int, ...]):
-    """Yield (sign, pairs) over all perfect matchings of the given points.
-
-    The sign is that of the permutation (i1 j1 i2 j2 ...) relative to the
-    sorted point list, which is the matching-sum convention."""
-    if not points:
-        yield 1, []
-        return
-    i0 = points[0]
-    for t in range(1, len(points)):
-        j = points[t]
-        rest = points[1:t] + points[t + 1:]
-        sign_here = 1 if t % 2 == 1 else -1
-        for sign, pairs in _matchings(rest):
-            yield sign_here * sign, [(i0, j)] + pairs
-
-
 @functools.cache
 def _matching_terms() -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    return tuple((sign, tuple(pairs)) for sign, pairs in _matchings(tuple(range(8))))
+    """The 105 signed perfect matchings (sign, ((a, b), (c, d), (e, f), (g, h)))
+    of the 8 points: the level-4 entry of `_sub_pfaffian_expansions`, Pf of
+    {0..7} along its first point, multiplied out through the levels below."""
+    expanded = [((1, ()),)]  # the empty set has the one empty matching
+    for level in _sub_pfaffian_expansions():
+        expanded = [tuple((sign * s, ((a, b),) + pairs)
+                          for sign, a, b, rest in terms for s, pairs in expanded[rest])
+                    for terms in level]
+    (terms,) = expanded
+    return terms
 
 
 def pfaffian_matchings(m: So8Element) -> Rational:
@@ -208,14 +200,16 @@ def invariant_vector(m: So8Element) -> InvariantVector:
 
 @functools.cache
 def _sub_pfaffian_expansions() -> tuple[tuple[tuple[tuple[int, int, int, int], ...], ...], ...]:
-    """For j = 1, 2, 3, one entry per 2j-subset S of {0..7} in lexicographic
+    """For j = 1..4, one entry per 2j-subset S of {0..7} in lexicographic
     order: the expansion of Pf(S) along its first point s0, as the terms
     (sign, s0, s, rest) of sign * M[s0][s] * Pf(S minus {s0, s}), where rest
     indexes the (2j-2)-subset in the level before (the empty set has Pf 1).
-    The signs are those of `_matchings`, which recurses the same way."""
+    The sign is that of the permutation (s0 s ...) relative to S, the
+    matching-sum convention. `spectral_coefficients` reads levels 1-3 and
+    `_matching_terms` level 4."""
     levels = []
     previous = {(): 0}
-    for j in (1, 2, 3):
+    for j in (1, 2, 3, 4):
         subsets = list(itertools.combinations(range(8), 2 * j))
         levels.append(tuple(
             tuple((1 if t % 2 == 1 else -1, s[0], s[t], previous[s[1:t] + s[t + 1:]])
@@ -233,7 +227,7 @@ def spectral_coefficients(m: So8Element) -> SpectralCoefficients:
     n = mat.numerators
     pfs = [1]
     coeffs = []
-    for j, expansions in enumerate(_sub_pfaffian_expansions(), start=1):
+    for j, expansions in enumerate(_sub_pfaffian_expansions()[:3], start=1):
         pfs = [sum(sign * n[a][b] * pfs[rest] for sign, a, b, rest in terms)
                for terms in expansions]
         coeffs.append(Fraction(sum(pf * pf for pf in pfs), mat.denominator ** (2 * j)))
@@ -301,11 +295,6 @@ def sigma_transform_invariants(v: InvariantVector) -> InvariantVector:
                            sum(map(mul, p2_row[:3], quartic)),
                            sum(map(mul, p3_row, degree6_monomials(v))),
                            sum(map(mul, pf_row[:3], quartic)))
-
-
-def t_matrix(power: int = 1) -> SquareMatrix:
-    """The degree-6 transformation matrix raised to a non-negative power."""
-    return T_MATRIX.power(power)
 
 
 def fixed_degree6_space() -> list[tuple[int, ...]]:

@@ -58,13 +58,6 @@ GENERATOR_INDEX: dict[Generator, int] = {g: n for n, g in enumerate(GENERATORS)}
 _PAIRS: tuple[tuple[int, int], ...] = tuple((g.i, g.j) for g in GENERATORS)
 
 
-def generator_matrix(g: Generator) -> SquareMatrix:
-    rows = [[0] * 8 for _ in range(8)]
-    rows[g.i][g.j] = 1
-    rows[g.j][g.i] = -1
-    return SquareMatrix.from_integers(rows, 1)
-
-
 class So8Element(RationalVector):
     """An so(8) element: 28 coefficients over the generators, as integer
     numerators over one positive denominator in lowest terms (see

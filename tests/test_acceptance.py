@@ -16,13 +16,14 @@ from triality.automorphisms import (ORDER3_BLOCK, g2_fixed_subalgebra,
                                     verify_bracket_preservation)
 from triality.exact import SquareMatrix
 from triality.invariants import (C3_COEFFICIENTS, CANDIDATE_C3_COEFFICIENTS,
-                                 ETA_MODEL_POINTS, canonical_block_element,
+                                 ETA_MODEL_POINTS, T_MATRIX,
+                                 canonical_block_element,
                                  eta_model_values, fixed_degree6_space,
                                  g2_restriction, invariant_vector,
                                  newton_coefficients, pfaffian_matchings,
                                  pfaffian_permutation_sum,
                                  sigma_transform_invariants,
-                                 spectral_coefficients, t_matrix)
+                                 spectral_coefficients)
 from triality.octonion import (basis_product, is_algebra_automorphism,
                                rotation_matrix)
 from triality.so8 import GENERATORS, So8Element, quadruples, random_element
@@ -102,8 +103,8 @@ def test_criterion_06_transformation_law_headline():
 
 
 def test_criterion_07_t_matrix():
-    assert t_matrix(3) == SquareMatrix.identity(4)
-    assert t_matrix(2) == SquareMatrix([
+    assert T_MATRIX.power(3) == SquareMatrix.identity(4)
+    assert T_MATRIX.power(2) == SquareMatrix([
         [Fraction(1), 0, 0, 0],
         [Fraction(3, 8), Fraction(-1, 2), Fraction(12), 0],
         [Fraction(1, 64), Fraction(-1, 16), Fraction(-1, 2), 0],

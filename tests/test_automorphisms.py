@@ -288,6 +288,34 @@ class TestFixedSubalgebras:
             with pytest.raises(ValueError):
                 sub.ad_matrix([Fraction(1)] * n)
 
+    @pytest.mark.parametrize("make", [g2_fixed_subalgebra, so7_fixed_subalgebra],
+                             ids=["g2", "so7"])
+    def test_ad_matrix_columns_are_brackets_in_span_coordinates(self, make):
+        # column j of ad(x) is [x, b_j] in the basis, taken through the dense
+        # bracket and the span solver rather than the stored structure table;
+        # a transposed ad(x) keeps every centralizer dimension and fails here
+        sub = make()
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(sub.dim)]
+            x = So8Element.zero()
+            for c, b in zip(coeffs, sub.basis):
+                x = x + b.scale(c)
+            ad = sub.ad_matrix(coeffs)
+            for j, bj in enumerate(sub.basis):
+                column = tuple(ad[k][j] for k in range(sub.dim))
+                assert column == sub.coords(bracket(x, bj))
+
+    def test_shared_structure_table_is_read_only(self):
+        # the fixed loci are cached, so a caller that could write into the
+        # table would change what every later caller reads
+        table = g2_fixed_subalgebra().structure_constants()
+        with pytest.raises(TypeError):
+            table[0][1] = None
+        with pytest.raises(TypeError):
+            table[0] = None
+        assert g2_fixed_subalgebra().structure_constants()[0][1] is not None
+
     def test_dim_check_fires_for_corrupted_map(self):
         with pytest.raises(ConsistencyError):
             fixed_subalgebra(TrialityMap.corrupted(), expected_dim=14, tag="bad")

@@ -20,7 +20,7 @@ from triality.invariants import (C3_COEFFICIENTS, CANDIDATE_C3_COEFFICIENTS,
                                  newton_coefficients, pfaffian_matchings,
                                  pfaffian_permutation_sum,
                                  sigma_transform_invariants,
-                                 spectral_coefficients, t_matrix, tr_power)
+                                 spectral_coefficients, tr_power)
 from triality.exact import SquareMatrix
 from triality.so8 import DIMENSION, Generator, So8Element, random_element
 
@@ -189,8 +189,8 @@ class TestTransformationLaw:
 
 class TestTMatrix:
     def test_powers(self):
-        assert t_matrix(0) == SquareMatrix.identity(4)
-        assert t_matrix(3) == SquareMatrix.identity(4)
+        assert T_MATRIX.power(0) == SquareMatrix.identity(4)
+        assert T_MATRIX.power(3) == SquareMatrix.identity(4)
 
     def test_square_entries(self):
         expected = SquareMatrix([
@@ -199,7 +199,7 @@ class TestTMatrix:
             [Fraction(1, 64), Fraction(-1, 16), Fraction(-1, 2), 0],
             [Fraction(15, 64), Fraction(-15, 16), Fraction(15, 2), Fraction(1)],
         ])
-        assert t_matrix(2) == expected
+        assert T_MATRIX.power(2) == expected
 
     def test_fixed_space(self):
         basis = fixed_degree6_space()

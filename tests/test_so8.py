@@ -11,8 +11,7 @@ from triality import SquareMatrix, so8
 from triality.automorphisms import TrialityMap, sigma
 from triality.exact import ConsistencyError, format_rational
 from triality.so8 import (DIMENSION, GENERATORS, Generator, So8Element, bracket,
-                          generator_matrix, quadruples, random_element,
-                          structure_constants)
+                          quadruples, random_element, structure_constants)
 
 
 def random_elements(count: int, seed: int, bound: int = 9) -> list:
@@ -33,21 +32,21 @@ class TestGenerators:
             Generator(0, 8)
 
     def test_defining_action(self):
-        g = generator_matrix(Generator(0, 1))
+        g = So8Element.from_generator(Generator(0, 1)).matrix
         e0 = [Fraction(1)] + [Fraction(0)] * 7
         e1 = [Fraction(0), Fraction(1)] + [Fraction(0)] * 6
         assert list(g.apply(e1)) == e0
         assert list(g.apply(e0)) == [Fraction(0), Fraction(-1)] + [Fraction(0)] * 6
 
     def test_kills_other_basis_vectors(self):
-        g = generator_matrix(Generator(2, 5))
+        g = So8Element.from_generator(Generator(2, 5)).matrix
         e3 = [Fraction(0)] * 8
         e3[3] = Fraction(1)
         assert all(x == 0 for x in g.apply(e3))
 
     def test_matrices_antisymmetric_with_square_structure(self):
         for g in GENERATORS:
-            m = generator_matrix(g)
+            m = So8Element.from_generator(g).matrix
             assert m.is_antisymmetric()
             sq = m * m
             diag = [sq[i][i] for i in range(8)]

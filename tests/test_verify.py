@@ -252,6 +252,19 @@ def _pfaffian_permutation_sum(monkeypatch):
     _shifted(monkeypatch, invariants, "pfaffian_permutation_sum", lambda pf: pf + 1)
 
 
+def _pfaffian_matchings(monkeypatch):
+    # invariant_vector reads its pf off this function, so each check that
+    # compares pf with another route fails
+    _shifted(monkeypatch, invariants, "pfaffian_matchings", lambda pf: pf + 1)
+
+
+def _invariant_vector(monkeypatch):
+    # Tr M^6 off by one on m and on sigma(m) alike; T sends p3 to p3 plus
+    # terms free of p3, so the law carries the shift and only p3's oracles fail
+    _shifted(monkeypatch, invariants, "invariant_vector",
+             lambda v: dataclasses.replace(v, p3=v.p3 + 1))
+
+
 def _spectral_coefficients(monkeypatch):
     _shifted(monkeypatch, invariants, "spectral_coefficients",
              lambda e: dataclasses.replace(e, e2=e.e2 + 1))
@@ -375,6 +388,20 @@ FAILURE_PATHS = [
                  ["invariants.pfaffian_consistency"],
                  "52934410a806ee3dd425fd3ed47d6e7e849624b4fcbe2fe5e487beb9ca5b97fc",
                  id="pfaffian_permutation_sum"),
+    pytest.param(_pfaffian_matchings,
+                 ["invariants.transformation_law",
+                  "invariants.pfaffian_consistency",
+                  "invariants.newton_oracle",
+                  "invariants.g2_locus",
+                  "invariants.so7_locus"],
+                 "c2186b30d695f40e7ebf06f9b161ed8fcfaf28617f7eb7612b9c917287670d4a",
+                 id="pfaffian_matchings"),
+    pytest.param(_invariant_vector,
+                 ["invariants.newton_oracle",
+                  "invariants.g2_locus",
+                  "invariants.eta2_coefficient_discrepancy"],
+                 "87ebb67dab05179aebf4c207686aa31176e4dc1b8e485cb83ef6c75cc3ce6c13",
+                 id="invariant_vector"),
     pytest.param(_spectral_coefficients,
                  ["invariants.newton_oracle",
                   "invariants.g2_locus",
