@@ -7,12 +7,20 @@ JSON-ready entry built by one of the shared shapes below. Entry statuses are
 entry demonstrating that a rejected candidate coefficient set disagrees with
 the derivation oracle, and does not fail the run. Identical configurations
 produce byte-identical reports.
+
+The checks run in two lanes that share no computed state: the fixed-locus
+lane (the triality suite and the invariants checks that read the fixed loci)
+and every other check. When both lanes have checks and `os.fork` exists, the
+fixed-locus lane runs in a forked child while the calling process runs the
+other; the entries are the same either way.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import marshal
+import os
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -86,11 +94,26 @@ def build_report(cfg: RunConfig) -> list[dict]:
          lambda: _check_trace_ratio_discrepancy(g2_samples()[:20])),
     )
 
+    selected = [(check_id, fn) for check_id, fn in checks
+                if cfg.suite in (None, check_id.partition(".")[0])]
+    child_lane = [c for c in selected if c[0] in _FIXED_LOCUS_CHECKS
+                  or c[0].startswith("triality.")]
+    if not hasattr(os, "fork") or len(child_lane) in (0, len(selected)):
+        return _run_lane(selected)
+    done = {e["check_id"]: e for e in
+            _run_forked(child_lane, [c for c in selected if c not in child_lane])}
+    return [done[check_id] for check_id, _ in selected]
+
+
+# the invariants checks that read the fixed loci; they run in the lane of the
+# triality suite, which builds the loci, so that each process builds what it reads
+_FIXED_LOCUS_CHECKS = ("invariants.g2_locus", "invariants.so7_locus",
+                       "invariants.g2_trace_ratio_discrepancy")
+
+
+def _run_lane(lane: list[tuple[str, Callable[[], dict]]]) -> list[dict]:
     entries = []
-    for check_id, fn in checks:
-        suite = check_id.partition(".")[0]
-        if cfg.suite is not None and suite != cfg.suite:
-            continue
+    for check_id, fn in lane:
         try:
             entry = fn()
         except (ConsistencyError, ValueError) as exc:
@@ -98,9 +121,48 @@ def build_report(cfg: RunConfig) -> list[dict]:
         except Exception as exc:  # one broken check must not abort the report
             entry = _entry(False, error=f"{type(exc).__name__}: {exc}")
         entry["check_id"] = check_id
-        entry["suite"] = suite
+        entry["suite"] = check_id.partition(".")[0]
         entries.append(entry)
     return entries
+
+
+def _run_forked(child_lane: list, parent_lane: list) -> list[dict]:
+    """Run child_lane in a forked child and parent_lane here, at the same
+    time. The child sends its entries back through a pipe, marshalled, and
+    leaves through os._exit, so it never returns into the caller, flushes
+    the caller's stdio buffers or runs its exit handlers. A child that dies
+    or sends a malformed report fails each check of its lane."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(marshal.dumps(_run_lane(child_lane)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    pipe = open(read_fd, "rb")
+    try:
+        entries = _run_lane(parent_lane)
+        data = pipe.read()
+    finally:
+        pipe.close()  # first, so that a child blocked on writing to it ends too
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:
+        received = marshal.loads(data)
+        ok = code == 0 and [e["check_id"] for e in received] == [c[0] for c in child_lane]
+    except (EOFError, ValueError, TypeError, KeyError):
+        ok = False
+    if not ok:
+        died = (f"was killed by signal {-code}" if code < 0
+                else f"exited with status {code}" if code else "sent a malformed report")
+        error = f"fixed-locus lane: child process {died}"
+        received = _run_lane([(check_id, lambda: _entry(False, error=error))
+                              for check_id, _ in child_lane])
+    return entries + received
 
 
 def report_passed(entries: list[dict]) -> bool:

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -451,3 +455,72 @@ def test_a_broken_function_fails_exactly_its_checks(perturb, failing, digest,
     got_digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
     assert got == failing
     assert got_digest == digest
+
+
+# ---------------------------------------------------------------------------
+# The two lanes: the triality suite and the invariants checks that read the
+# fixed loci run in a forked child, every other check in the calling process.
+# ---------------------------------------------------------------------------
+
+_CHILD_LANE = {"invariants.g2_locus", "invariants.so7_locus",
+               "invariants.g2_trace_ratio_discrepancy"}
+
+
+def _in_child_lane(check_id):
+    return check_id.startswith("triality.") or check_id in _CHILD_LANE
+
+
+def _exit_3():
+    os._exit(3)
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("die, error", [
+    (_exit_3, "fixed-locus lane: child process exited with status 3"),
+    (_kill_self, f"fixed-locus lane: child process was killed by signal {signal.SIGKILL.value}"),
+], ids=["exit_3", "sigkill"])
+def test_a_dead_child_fails_exactly_its_lane(die, error, monkeypatch, small_report):
+    monkeypatch.setattr(verify, "_check_fixed_dims", lambda tmap: die())
+    entries = build_report(SMALL)
+    assert [e["check_id"] for e in entries] == [e["check_id"] for e in small_report]
+    for entry in entries:
+        if _in_child_lane(entry["check_id"]):
+            assert entry == {"status": "fail", "error": error,
+                             "check_id": entry["check_id"], "suite": entry["suite"]}
+        else:
+            assert entry["status"] in ("pass", "discrepancy-confirmed"), entry["check_id"]
+    assert not report_passed(entries)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cfg", [
+    SMALL, dataclasses.replace(SMALL, corrupt_constant=True),
+    *(dataclasses.replace(SMALL, suite=suite) for suite in SUITES),
+], ids=["small", "corrupt_constant", *SUITES])
+def test_entries_do_not_depend_on_the_fork(cfg, monkeypatch, small_report):
+    forked = small_report if cfg == SMALL else build_report(cfg)
+    monkeypatch.delattr(os, "fork")
+    assert build_report(cfg) == forked
+
+
+def test_the_fixed_loci_are_built_in_the_child_only():
+    automorphisms._fixed_locus.cache_clear()
+    entries = build_report(RunConfig())
+    assert report_passed(entries)
+    assert automorphisms._fixed_locus.cache_info().currsize == 0
+
+
+def test_the_child_leaves_the_callers_stdout_buffer_alone():
+    program = ("import sys\n"
+               "from triality.verify import RunConfig, build_report\n"
+               "sys.stdout.write('written before the report\\n')\n"
+               "build_report(RunConfig(samples=2))\n")
+    # with PYTHONUNBUFFERED set the text would reach the pipe before the fork
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "written before the report\n"
