@@ -127,31 +127,19 @@ def verify_bracket_preservation(samples: int, seed: int,
     the dense matrix commutator on both sides.
     """
     tmap = tmap or TrialityMap.standard()
-    violations = 0
-    violating_pairs: list = []
-    counterexample = None
+    # (tag, lhs, lhs_den, rhs, rhs_den) of each pair where the integer
+    # numerators lhs / lhs_den and rhs / rhs_den differ
+    failures: list = []
 
     def check(lhs: Sequence[int], lhs_den: int, rhs: Sequence[int], rhs_den: int, tag):
-        """Compare lhs / lhs_den with rhs / rhs_den, both as integer numerators."""
-        nonlocal violations, counterexample
-        if all(x * rhs_den == y * lhs_den for x, y in zip(lhs, rhs)):
-            return
-        violations += 1
-        if len(violating_pairs) < 10:
-            violating_pairs.append(tag)
-        if counterexample is None:
-            counterexample = {
-                "pair": tag,
-                "image_of_bracket": format_numerators(lhs, lhs_den),
-                "bracket_of_images": format_numerators(rhs, rhs_den),
-            }
+        if any(x * rhs_den != y * lhs_den for x, y in zip(lhs, rhs)):
+            failures.append((tag, lhs, lhs_den, rhs, rhs_den))
 
     table = so8_structure_constants()
     full = tmap.full.numerators
     den = tmap.full.denominator
     # the nonzero entries (k, F[k][c]) of each column c of F: the image of G_c
     columns = [[(k, row[c]) for k, row in enumerate(full) if row[c]] for c in range(DIMENSION)]
-    checked = 0
     for a in range(DIMENSION):
         for b in range(DIMENSION):
             lhs = [0] * DIMENSION
@@ -166,7 +154,6 @@ def verify_bracket_preservation(samples: int, seed: int,
                         c, s = table[k][l]
                         rhs[c] += s * fa * fb
             check(lhs, den, rhs, den * den, [GENERATORS[a].label, GENERATORS[b].label])
-            checked += 1
     for k in range(samples):
         x = random_element(seed + 2 * k, bound)
         y = random_element(seed + 2 * k + 1, bound)
@@ -174,16 +161,20 @@ def verify_bracket_preservation(samples: int, seed: int,
         rhs = bracket(tmap.apply(x), tmap.apply(y))
         check(lhs.numerators, lhs.denominator, rhs.numerators, rhs.denominator,
               ["sample", k])
-        checked += 1
 
     report = {
-        "status": "pass" if violations == 0 else "fail",
-        "pairs_checked": checked,
-        "violations": violations,
+        "status": "fail" if failures else "pass",
+        "pairs_checked": DIMENSION * DIMENSION + samples,
+        "violations": len(failures),
     }
-    if counterexample is not None:
-        report["counterexample"] = counterexample
-        report["violating_pairs"] = violating_pairs
+    if failures:
+        tag, lhs, lhs_den, rhs, rhs_den = failures[0]
+        report["counterexample"] = {
+            "pair": tag,
+            "image_of_bracket": format_numerators(lhs, lhs_den),
+            "bracket_of_images": format_numerators(rhs, rhs_den),
+        }
+        report["violating_pairs"] = [f[0] for f in failures[:10]]
     return report
 
 
@@ -260,30 +251,28 @@ class FixedSubalgebra:
         return SquareMatrix(rows)
 
 
-def fixed_subalgebra(tmap: Optional[TrialityMap] = None,
-                     expected_dim: Optional[int] = None,
-                     tag: str = "g2") -> FixedSubalgebra:
-    """Fixed locus of the order-3 map: kernel of (full - I), bracket closure verified."""
-    tmap = tmap or TrialityMap.standard()
-    return _fixed_locus(tmap.full, expected_dim, tag)
+def fixed_subalgebra(tmap: TrialityMap) -> FixedSubalgebra:
+    """Fixed locus of an order-3 map: kernel of (full - I), checked to be
+    14-dimensional and bracket-closed."""
+    return _fixed_locus(tmap.full, 14, "g2")
 
 
 def g2_fixed_subalgebra() -> FixedSubalgebra:
     """The 14-dimensional fixed subalgebra of the standard order-3 map."""
-    return fixed_subalgebra(TrialityMap.standard(), expected_dim=14, tag="g2")
+    return fixed_subalgebra(TrialityMap.standard())
 
 
 def so7_fixed_subalgebra() -> FixedSubalgebra:
     """The 21-dimensional fixed locus of the outer involution."""
-    return _fixed_locus(_involution_matrix(), expected_dim=21, tag="so7")
+    return _fixed_locus(_involution_matrix(), 21, "so7")
 
 
 @functools.cache
-def _fixed_locus(action: SquareMatrix, expected_dim: Optional[int], tag: str) -> FixedSubalgebra:
+def _fixed_locus(action: SquareMatrix, expected_dim: int, tag: str) -> FixedSubalgebra:
     # computed once per (action, expected_dim, tag) and shared; the object is
     # read-only after construction, and a failed construction is not cached
     kernel = (action - SquareMatrix.identity(DIMENSION)).kernel_basis()
-    if expected_dim is not None and len(kernel) != expected_dim:
+    if len(kernel) != expected_dim:
         raise ConsistencyError(
             f"fixed locus {tag!r} has dimension {len(kernel)}, expected {expected_dim}")
     sub = FixedSubalgebra([So8Element.from_integers(v, 1) for v in kernel], tag)
@@ -318,13 +307,11 @@ def identify_fixed_algebra(sub: FixedSubalgebra) -> dict:
     minimum is the rank, and taking the minimum guards against an unlucky
     non-generic draw.
     """
-    kappa = killing_form(sub)
-    nondegenerate = kappa.determinant() != 0
-    rank = None
-    for seed in RANK_SAMPLE_SEEDS:
+    nondegenerate = killing_form(sub).determinant() != 0
+
+    def centralizer_dim(seed: int) -> int:
         rng = random.Random(seed)
-        coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(sub.dim)]
-        ad = sub.ad_matrix(coeffs)
-        centralizer_dim = len(ad.kernel_basis())
-        rank = centralizer_dim if rank is None else min(rank, centralizer_dim)
+        return len(sub.ad_matrix([rng.randint(-9, 9) for _ in range(sub.dim)]).kernel_basis())
+
+    rank = min(map(centralizer_dim, RANK_SAMPLE_SEEDS))
     return {"dim": sub.dim, "killing_nondegenerate": nondegenerate, "rank": rank}

@@ -9,8 +9,9 @@ representations, and `==` and `hash` compare integers. `integer_rows`
 writes rational input in that form; products, sums, scaling, transposes,
 traces and the Faddeev-LeVerrier steps of characteristic polynomials run on
 the integers, and `lowest_terms` reduces each result once. The `Fraction`
-entries (`rows`, indexing) are a view built on first read. JSON is read
-(`read_integer_rows`) and written (`format_numerators`) on the integers too.
+entries (`rows`, indexing) are built on each read and not stored. JSON is
+read (`read_integer_rows`) and written (`format_numerators`) on the integers
+too.
 
 `RationalVector` is the same form for a fixed-length vector, the one core
 of so(8) elements and octonions; its `Fraction` view is `coeffs`.
@@ -96,13 +97,13 @@ def format_numerators(numerators: Iterable[int], den: int) -> list[str]:
 class RationalVector:
     """Immutable vector of LENGTH rationals: `numerators` (a tuple of
     integers) over `denominator`, in lowest terms; `coeffs` is the
-    `Fraction` view, built on first read.
+    `Fraction` view, built on each read.
 
     A subclass sets LENGTH and NOUN, the plural its length error names.
     Results of arithmetic have the type of the left operand.
     """
 
-    __slots__ = ("numerators", "denominator", "_coeffs")
+    __slots__ = ("numerators", "denominator")
 
     LENGTH: int
     NOUN: str
@@ -124,7 +125,6 @@ class RationalVector:
             raise ValueError(f"{self.NOUN} have {self.LENGTH} coefficients, got {len(num)}")
         self.numerators: tuple[int, ...] = num
         self.denominator = den
-        self._coeffs: Optional[tuple[Rational, ...]] = None
 
     @classmethod
     def _from_json_list(cls, values: object, what: str) -> "RationalVector":
@@ -137,11 +137,9 @@ class RationalVector:
 
     @property
     def coeffs(self) -> tuple[Rational, ...]:
-        """The coefficients as `Fraction`s, built on first read."""
-        if self._coeffs is None:
-            den = self.denominator
-            self._coeffs = tuple(Fraction(c, den) for c in self.numerators)
-        return self._coeffs
+        """The coefficients as `Fraction`s, built on each read."""
+        den = self.denominator
+        return tuple(Fraction(c, den) for c in self.numerators)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -176,13 +174,13 @@ class RationalVector:
 class SquareMatrix:
     """Immutable dense square matrix of rationals: `numerators` (a tuple of
     integer rows) over `denominator`, in lowest terms; `rows` is the
-    `Fraction` view.
+    `Fraction` view, built on each read.
 
     Sized for this toolkit: 4x4 transformation blocks, 8x8 antisymmetric
     matrices, and the 28x28 action on so(8) coefficients.
     """
 
-    __slots__ = ("dim", "numerators", "denominator", "_rows")
+    __slots__ = ("dim", "numerators", "denominator")
 
     def __init__(self, rows: Iterable[Iterable[Rational]]):
         self._assign(*integer_rows([[Fraction(x) for x in row] for row in rows]))
@@ -202,7 +200,6 @@ class SquareMatrix:
         self.dim = n
         self.numerators: tuple[tuple[int, ...], ...] = num
         self.denominator = den
-        self._rows: Optional[tuple[tuple[Rational, ...], ...]] = None
 
     @classmethod
     def identity(cls, n: int) -> "SquareMatrix":
@@ -219,14 +216,13 @@ class SquareMatrix:
 
     @property
     def rows(self) -> tuple[tuple[Rational, ...], ...]:
-        """The entries as `Fraction`s, built on first read."""
-        if self._rows is None:
-            den = self.denominator
-            self._rows = tuple(tuple(Fraction(x, den) for x in row) for row in self.numerators)
-        return self._rows
+        """The entries as `Fraction`s, built on each read."""
+        return tuple(map(self.__getitem__, range(self.dim)))
 
     def __getitem__(self, i: int) -> tuple[Rational, ...]:
-        return self.rows[i]
+        """Row i as `Fraction`s."""
+        den = self.denominator
+        return tuple(Fraction(x, den) for x in self.numerators[i])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SquareMatrix):

@@ -283,18 +283,20 @@ def degree6_monomials(v: InvariantVector) -> tuple[Rational, Rational, Rational,
 
 def sigma_transform_invariants(v: InvariantVector) -> InvariantVector:
     """Closed-form images of (p1, p2, p3, pf) under the order-3 automorphism,
-    read off T_MATRIX: p1 is fixed, so rows 1 and 2 applied to (p1^2, p2, pf)
-    give p2 and pf, and row 3 applied to the degree-6 monomials gives p3.
+    read off the integer rows of T_MATRIX over its denominator: p1 is fixed,
+    so rows 1 and 2 applied to (p1^2, p2, pf) give p2 and pf, and row 3
+    applied to the degree-6 monomials gives p3.
 
     These four identities are the content of the headline check: applied to
     invariant_vector(m) they must reproduce invariant_vector(sigma(m))
     exactly, and iterating them three times is the identity."""
-    _, p2_row, pf_row, p3_row = T_MATRIX.rows
+    _, p2_row, pf_row, p3_row = T_MATRIX.numerators
+    den = T_MATRIX.denominator
     quartic = (v.p1 ** 2, v.p2, v.pf)
     return InvariantVector(v.p1,
-                           sum(map(mul, p2_row[:3], quartic)),
-                           sum(map(mul, p3_row, degree6_monomials(v))),
-                           sum(map(mul, pf_row[:3], quartic)))
+                           sum(map(mul, p2_row[:3], quartic)) / den,
+                           sum(map(mul, p3_row, degree6_monomials(v))) / den,
+                           sum(map(mul, pf_row[:3], quartic)) / den)
 
 
 def fixed_degree6_space() -> list[tuple[int, ...]]:
@@ -396,11 +398,8 @@ def derive_c3_coefficients() -> dict:
         }
 
     return {
-        "derived_coefficients": [format_rational(c) for c in C3_COEFFICIENTS],
         "kernel_dimension": len(kernel),
-        "kernel_direction": [format_rational(c) for c in kernel[0]] if kernel else [],
         "newton_representative_confirmed": newton_ok,
-        "candidate_coefficients": [format_rational(c) for c in CANDIDATE_C3_COEFFICIENTS],
         "candidate_confirmed": candidate_ok,
         "witness": witness,
     }

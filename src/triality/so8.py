@@ -7,7 +7,7 @@ generators, and the corresponding 8x8 antisymmetric matrix; the two
 round-trip exactly. Both are stored as integer numerators over one positive
 denominator in lowest terms (an element is an `exact.RationalVector`), and
 an element and its matrix share the same denominator; the `Fraction`
-coefficients (`coeffs`) are a view built on first read, and JSON is read
+coefficients (`coeffs`) are a view built on each read, and JSON is read
 and written without it.
 
 The 28 generators split into seven 4-element quadruples
@@ -130,9 +130,14 @@ class So8Element(RationalVector):
 
     @classmethod
     def from_json(cls, obj: dict) -> "So8Element":
-        """Read either encoding; when both are present they must agree exactly."""
+        """Read either encoding; when both are present they must agree exactly.
+        Any other key is an error."""
         if not isinstance(obj, dict):
             raise ValueError("so(8) element must be a JSON object")
+        unknown = sorted(set(obj) - {"coeffs", "matrix"})
+        if unknown:
+            raise ValueError(f"unknown field(s) {', '.join(map(repr, unknown))}; "
+                             "an so(8) element has only 'coeffs' and 'matrix'")
         from_coeffs = None
         from_mat = None
         if "coeffs" in obj:

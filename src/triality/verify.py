@@ -55,7 +55,7 @@ def build_report(cfg: RunConfig) -> list[dict]:
     samples = functools.cache(lambda: _generic_samples(cfg, tmap))
     # likewise the g2 locus samples, for g2_locus and the trace-ratio check
     g2_samples = functools.cache(
-        lambda: _locus_samples(cfg, automorphisms.g2_fixed_subalgebra(), "g2"))
+        lambda: _locus_samples(cfg, automorphisms.g2_fixed_subalgebra()))
     checks: tuple[tuple[str, Callable[[], dict]], ...] = (
         ("octonion.table_rules", _check_octonion_table),
         ("octonion.rotation_automorphism", _check_rotation),
@@ -79,7 +79,7 @@ def build_report(cfg: RunConfig) -> list[dict]:
         ("invariants.newton_oracle", lambda: _check_newton(samples())),
         ("invariants.g2_locus", lambda: _check_locus(g2_samples())),
         ("invariants.so7_locus", lambda: _check_locus(
-            _locus_samples(cfg, automorphisms.so7_fixed_subalgebra(), "so7"))),
+            _locus_samples(cfg, automorphisms.so7_fixed_subalgebra()))),
         ("invariants.generic_eigenstructure",
          lambda: _check_generic_eigenstructure(cfg, samples())),
         ("invariants.c3_model", _check_c3_model),
@@ -380,7 +380,7 @@ def _check_order_three(tmap: automorphisms.TrialityMap) -> dict:
 def _check_fixed_dims(tmap: automorphisms.TrialityMap) -> dict:
     # construction raises on a wrong dimension or a non-closed span, which the
     # report wrapper turns into a failed entry
-    fixed = automorphisms.fixed_subalgebra(tmap, expected_dim=14, tag="g2")
+    fixed = automorphisms.fixed_subalgebra(tmap)
     so7 = automorphisms.so7_fixed_subalgebra()
     pointwise = all(tmap.apply(b) == b for b in fixed.basis)
     return _entry(pointwise, order3_fixed_dim=fixed.dim, involution_fixed_dim=so7.dim,
@@ -509,13 +509,12 @@ class _LocusSample(NamedTuple):
     check: dict
 
 
-def _locus_samples(cfg: RunConfig, sub: automorphisms.FixedSubalgebra,
-                   tag: str) -> list[_LocusSample]:
+def _locus_samples(cfg: RunConfig, sub: automorphisms.FixedSubalgebra) -> list[_LocusSample]:
     out = []
     for k in range(min(cfg.samples, 50)):
         m = sub.random_element(cfg.seed + k, cfg.bound)
         v = invariants.invariant_vector(m)
-        out.append(_LocusSample(v, invariants.eigenstructure_check(m, tag, v)))
+        out.append(_LocusSample(v, invariants.eigenstructure_check(m, sub.tag, v)))
     return out
 
 

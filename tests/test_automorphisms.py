@@ -318,12 +318,12 @@ class TestFixedSubalgebras:
 
     def test_dim_check_fires_for_corrupted_map(self):
         with pytest.raises(ConsistencyError):
-            fixed_subalgebra(TrialityMap.corrupted(), expected_dim=14, tag="bad")
+            fixed_subalgebra(TrialityMap.corrupted())
 
     def test_fixed_locus_of_square_equals_fixed_locus(self):
         tmap = TrialityMap.standard()
         square = TrialityMap.standard()
-        sub = fixed_subalgebra(tmap, tag="g2")
+        sub = fixed_subalgebra(tmap)
         squared_full = tmap.full * tmap.full
         for b in sub.basis:
             assert So8Element(squared_full.apply(b.coeffs)) == b

@@ -153,6 +153,18 @@ class TestEvalCommand:
         assert main(["eval", "--input", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: malformed JSON in {path}: ")
 
+    @pytest.mark.parametrize("extra", [{"extra": 1}, {"matirx": [["0"] * 8] * 8}],
+                             ids=["extra", "misspelled_matrix"])
+    def test_unknown_field_exits_one(self, tmp_path, capsys, extra):
+        obj = {**random_element(1).to_json("coeffs"), **extra}
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(obj))
+        (key,) = extra
+        for command in ("eval", "sigma"):
+            assert main([command, "--input", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert f"invalid element in {path}: unknown field(s) {key!r}" in err
+
     def test_mismatched_encodings_exit_one(self, tmp_path):
         obj = random_element(1).to_json("coeffs")
         obj.update(random_element(2).to_json("matrix"))
@@ -288,22 +300,28 @@ class TestDumpCommand:
         assert first.stdout == second.stdout
 
 
-# sha256 of the stdout of `triality <argv>`. These outputs are part of the
-# contract: a refactor must leave them byte-identical, and a deliberate change
-# to them updates the digest here.
-GOLDEN_SHA256 = {
-    ("dump",):
-        "6b6f2f6518908a34ee4f9616874203b9c36e4be84ffc97668e7aecb2fbf216d6",
-    ("dump", "--json"):
-        "422e9f102e67077b1f4ab52c7e6cab2c2c91a739674e07e0ec0d98488ca21994",
-    ("fixed",):
-        "b744e08f3be59bd719bdd1cdc64690216a4cfcbb5380ceedd510b79d7d4be6da",
-    ("fixed", "--json"):
-        "acc26a6b8345bcac4ea5b6761a69417e15ac95ae7f26767f6857ebcbb884dfba",
-    ("verify", "--json", "--samples", "3", "--seed", "42"):
-        "17edb59f7964529fb9e7930a5b732c3e29f60e0178cf0daf82a204778340d02b",
-    ("verify",):
-        "8f881f8ffa3d9eb3575ebd43f3c809dbfb51bf3107c5f2a429134747793bf0ce",
+# exit code and sha256 of the stdout of `triality <argv>`, by test id. These
+# outputs are part of the contract: a refactor must leave them byte-identical,
+# and a deliberate change to them updates the digest here, its one copy.
+GOLDEN_OUTPUTS = {
+    "dump-text": (("dump",), 0,
+                  "6b6f2f6518908a34ee4f9616874203b9c36e4be84ffc97668e7aecb2fbf216d6"),
+    "dump": (("dump", "--json"), 0,
+             "422e9f102e67077b1f4ab52c7e6cab2c2c91a739674e07e0ec0d98488ca21994"),
+    "fixed-text": (("fixed",), 0,
+                   "b744e08f3be59bd719bdd1cdc64690216a4cfcbb5380ceedd510b79d7d4be6da"),
+    "fixed": (("fixed", "--json"), 0,
+              "acc26a6b8345bcac4ea5b6761a69417e15ac95ae7f26767f6857ebcbb884dfba"),
+    "verify": (("verify", "--json", "--samples", "3", "--seed", "42"), 0,
+               "17edb59f7964529fb9e7930a5b732c3e29f60e0178cf0daf82a204778340d02b"),
+    "verify-text": (("verify",), 0,
+                    "8f881f8ffa3d9eb3575ebd43f3c809dbfb51bf3107c5f2a429134747793bf0ce"),
+    "verify-default": (("verify", "--json"), 0,
+                       "4d2ed3dca170727e2dba576deb8898f40840773fa6897c364313f2e515ca553c"),
+    "corrupt-constant": (("verify", "--json", "--corrupt-constant"), 1,
+                         "deb230228a9decde459c517c42a48ab5aadaff53d02ffb5ebf3e089ad881b81a"),
+    "corrupt-constant-text": (("verify", "--corrupt-constant"), 1,
+                              "ad4723330782d196f70febf651235642ee82dbb91be13c8b9572c2cbc9e460cf"),
 }
 
 
@@ -326,12 +344,12 @@ def _rational_element(tmp_path):
 
 
 class TestGoldenOutput:
-    @pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256),
-                             ids=lambda argv: argv[0] + ("" if "--json" in argv else "-text"))
-    def test_output_is_byte_identical(self, argv, capsys):
-        assert main(list(argv)) == 0
+    @pytest.mark.parametrize("test_id", sorted(GOLDEN_OUTPUTS))
+    def test_output_is_byte_identical(self, test_id, capsys):
+        argv, code, golden = GOLDEN_OUTPUTS[test_id]
+        assert main(list(argv)) == code
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-        assert digest == GOLDEN_SHA256[argv]
+        assert digest == golden
 
     @pytest.mark.parametrize("command", sorted(RATIONAL_GOLDEN_SHA256))
     def test_rational_element_output_is_byte_identical(self, command, tmp_path, capsys):
