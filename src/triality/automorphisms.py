@@ -124,7 +124,7 @@ def verify_bracket_preservation(samples: int, seed: int,
     phi = F / den, phi[G_a, G_b] = s * F[:, c] / den when [G_a, G_b] = s G_c,
     and [phi G_a, phi G_b] = sum over k, l of F[k][a] F[l][b] [G_k, G_l] / den^2,
     which is exact because the commutator is bilinear. The sampled pairs take
-    the dense matrix commutator on both sides.
+    the `so8.bracket` matrix commutator on both sides.
     """
     tmap = tmap or TrialityMap.standard()
     # (tag, lhs, lhs_den, rhs, rhs_den) of each pair where the integer

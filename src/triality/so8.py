@@ -26,6 +26,8 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .exact import (ConsistencyError, Rational, RationalVector, SquareMatrix,
@@ -109,7 +111,7 @@ class So8Element(RationalVector):
         return self._matrix
 
     def coefficient(self, g: Generator) -> Rational:
-        return self.coeffs[GENERATOR_INDEX[g]]
+        return Fraction(self.numerators[GENERATOR_INDEX[g]], self.denominator)
 
     def is_zero(self) -> bool:
         return not any(self.numerators)
@@ -157,10 +159,18 @@ class So8Element(RationalVector):
 
 
 def bracket(x: So8Element, y: So8Element) -> So8Element:
-    """Lie bracket [x, y] = xy - yx on the matrix representation."""
-    a = x.matrix
-    b = y.matrix
-    return So8Element.from_matrix(a * b - b * a)
+    """Lie bracket [x, y] = XY - YX of the matrices X, Y of x and y.
+
+    X and Y are antisymmetric, so X_kj = -X_jk and Y_kj = -Y_jk, and entry
+    (i, j) of the commutator is sum_k (Y_ik X_jk - X_ik Y_jk): two products
+    of rows, on the integer numerators over x.denominator * y.denominator.
+    The commutator of two antisymmetric matrices is antisymmetric, so its
+    upper triangle, the 28 pairs i < j, is the element's coefficients."""
+    a = x.matrix.numerators
+    b = y.matrix.numerators
+    return So8Element.from_integers(
+        [sum(map(mul, b[i], a[j])) - sum(map(mul, a[i], b[j])) for i, j in _PAIRS],
+        x.denominator * y.denominator)
 
 
 def _index_rule(x: Generator, y: Generator) -> Optional[tuple[int, int]]:

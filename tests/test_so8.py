@@ -349,7 +349,21 @@ class TestIntegerForm:
         assert math.gcd(m.denominator, *(c for row in m.numerators for c in row)) == 1
         for g, c in zip(GENERATORS, a):
             assert m[g.i][g.j] == c and m[g.j][g.i] == -c
+            assert x.coefficient(g) == c and type(x.coefficient(g)) is Fraction
         assert So8Element.from_matrix(m) == x
+
+    @settings(max_examples=60)
+    @example(a=[Fraction(8 ** (DIMENSION * k)) for k in range(DIMENSION)],
+             b=[Fraction(8 ** k) for k in range(DIMENSION)])
+    @example(a=[Fraction(0)] * DIMENSION, b=[Fraction(k - 13, 7) for k in range(DIMENSION)])
+    @given(a=coefficients, b=coefficients)
+    def test_bracket_matches_the_dense_matrix_commutator(self, a, b):
+        # the first example is the Kronecker pair of `structure_constants()`
+        x, y = So8Element(a), So8Element(b)
+        for u, v in ((x, y), (y, x), (x, x), (x, So8Element.zero())):
+            got = bracket(u, v)
+            assert _is_canonical(got)
+            assert got == So8Element.from_matrix(u.matrix * v.matrix - v.matrix * u.matrix)
 
     @settings(max_examples=40)
     @example(coeffs=[Fraction(2)] * DIMENSION)

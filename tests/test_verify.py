@@ -326,10 +326,8 @@ FAILURE_PATHS = [
                  id="norm_squared"),
     pytest.param(_from_matrix,
                  ["so8.dimension_roundtrip",
-                  "so8.bracket_antisymmetry",
-                  "triality.bracket_preservation",
                   "invariants.pfaffian_consistency"],
-                 "d202aa537d568f9041137fb3edfc77e590dd6a34c029e9ddad67eef9582c37ec",
+                 "bf57fefd2f111468bea068e324b657ee140a34659424435b84b4ab9f75697e4e",
                  id="from_matrix"),
     pytest.param(_zero_bracket,
                  ["so8.bracket_antisymmetry",
