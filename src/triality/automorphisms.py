@@ -31,9 +31,9 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-from .exact import ConsistencyError, Rational, SpanSolver, SquareMatrix, format_numerators
+from .exact import ConsistencyError, Rational, SpanSolver, SquareMatrix
 from .so8 import (DIMENSION, GENERATORS, So8Element, bracket, quadruples,
-                  random_element, structure_constants as so8_structure_constants)
+                  structure_constants as so8_structure_constants)
 
 _ZERO = Fraction(0)
 
@@ -113,33 +113,23 @@ def _involution_matrix() -> SquareMatrix:
     return SquareMatrix.diagonal(_INVOLUTION_SIGNS)
 
 
-def verify_bracket_preservation(samples: int, seed: int,
-                                tmap: Optional[TrialityMap] = None, bound: int = 9) -> dict:
-    """Check phi[x,y] = [phi x, phi y] exactly; violations are report content.
+def verify_bracket_preservation(
+        tmap: TrialityMap) -> list[tuple[int, int, So8Element, So8Element]]:
+    """The generator pairs on which phi[G_a, G_b] != [phi G_a, phi G_b], as
+    (a, b, image_of_bracket, bracket_of_images), over all 28x28 pairs in
+    order. By bilinearity phi preserves the bracket exactly when the list is
+    empty.
 
-    Runs all 28x28 generator pairs plus `samples` seeded random pairs with
-    integer coefficients in [-bound, bound]. The returned report is JSON-ready.
-
-    A generator pair is read off the so(8) structure constants: with
-    phi = F / den, phi[G_a, G_b] = s * F[:, c] / den when [G_a, G_b] = s G_c,
-    and [phi G_a, phi G_b] = sum over k, l of F[k][a] F[l][b] [G_k, G_l] / den^2,
-    which is exact because the commutator is bilinear. The sampled pairs take
-    the `so8.bracket` matrix commutator on both sides.
+    A pair is read off the so(8) structure constants: with phi = F / den,
+    phi[G_a, G_b] = s * F[:, c] / den when [G_a, G_b] = s G_c, and
+    [phi G_a, phi G_b] = sum over k, l of F[k][a] F[l][b] [G_k, G_l] / den^2.
     """
-    tmap = tmap or TrialityMap.standard()
-    # (tag, lhs, lhs_den, rhs, rhs_den) of each pair where the integer
-    # numerators lhs / lhs_den and rhs / rhs_den differ
-    failures: list = []
-
-    def check(lhs: Sequence[int], lhs_den: int, rhs: Sequence[int], rhs_den: int, tag):
-        if any(x * rhs_den != y * lhs_den for x, y in zip(lhs, rhs)):
-            failures.append((tag, lhs, lhs_den, rhs, rhs_den))
-
     table = so8_structure_constants()
     full = tmap.full.numerators
     den = tmap.full.denominator
     # the nonzero entries (k, F[k][c]) of each column c of F: the image of G_c
     columns = [[(k, row[c]) for k, row in enumerate(full) if row[c]] for c in range(DIMENSION)]
+    failures = []
     for a in range(DIMENSION):
         for b in range(DIMENSION):
             lhs = [0] * DIMENSION
@@ -153,29 +143,11 @@ def verify_bracket_preservation(samples: int, seed: int,
                     if table[k][l] is not None:
                         c, s = table[k][l]
                         rhs[c] += s * fa * fb
-            check(lhs, den, rhs, den * den, [GENERATORS[a].label, GENERATORS[b].label])
-    for k in range(samples):
-        x = random_element(seed + 2 * k, bound)
-        y = random_element(seed + 2 * k + 1, bound)
-        lhs = tmap.apply(bracket(x, y))
-        rhs = bracket(tmap.apply(x), tmap.apply(y))
-        check(lhs.numerators, lhs.denominator, rhs.numerators, rhs.denominator,
-              ["sample", k])
-
-    report = {
-        "status": "fail" if failures else "pass",
-        "pairs_checked": DIMENSION * DIMENSION + samples,
-        "violations": len(failures),
-    }
-    if failures:
-        tag, lhs, lhs_den, rhs, rhs_den = failures[0]
-        report["counterexample"] = {
-            "pair": tag,
-            "image_of_bracket": format_numerators(lhs, lhs_den),
-            "bracket_of_images": format_numerators(rhs, rhs_den),
-        }
-        report["violating_pairs"] = [f[0] for f in failures[:10]]
-    return report
+            # lhs / den against rhs / den^2
+            if any(x * den != y for x, y in zip(lhs, rhs)):
+                failures.append((a, b, So8Element.from_integers(lhs, den),
+                                 So8Element.from_integers(rhs, den * den)))
+    return failures
 
 
 class FixedSubalgebra:

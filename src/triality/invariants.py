@@ -46,7 +46,7 @@ import itertools
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .automorphisms import sigma
 from .exact import (ConsistencyError, Rational, SpanSolver, SquareMatrix, format_rational,
@@ -367,15 +367,15 @@ ETA_MODEL_POINTS: tuple[tuple[Rational, Rational], ...] = tuple(
 ) + ((Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), Fraction(-5, 4)))
 
 
-def derive_c3_coefficients() -> dict:
+def derive_c3_coefficients() -> tuple[int, list[Rational], list[Rational]]:
     """Solve for the degree-6 restriction coefficients against the eigenvalue
-    model and document the outcome.
+    model: (kernel_dimension, derived_residuals, candidate_residuals).
 
     On the fixed locus p2 = p1^2/4, so p1*p2 and p1^3 are proportional there
-    and the solution family of  a*p1^3 + b*p1*p2 + g*p3 = c3  is a line. The
-    returned report confirms the family is exactly 1-dimensional, that the
-    Newton-identity representative lies on it, and that the rejected
-    candidate coefficients do not, with an explicit witness point."""
+    and the solution family of  a*p1^3 + b*p1*p2 + g*p3 = c3  is a line, of
+    dimension kernel_dimension. The residuals are c3_polynomial(coeffs) - c3
+    at each of ETA_MODEL_POINTS, for C3_COEFFICIENTS and for the rejected
+    CANDIDATE_C3_COEFFICIENTS: all zero when coeffs lie on the family."""
     model = [eta_model_values(h1, h2) for h1, h2 in ETA_MODEL_POINTS]
     kernel = kernel_basis_of_rows(
         integer_rows([[p1 ** 3, p1 * p2, p3] for p1, p2, p3, _ in model])[0], 3)
@@ -383,45 +383,20 @@ def derive_c3_coefficients() -> dict:
     def residuals(coeffs):
         return [c3_polynomial(coeffs, p1, p2, p3) - c3 for p1, p2, p3, c3 in model]
 
-    newton_ok = not any(residuals(C3_COEFFICIENTS))
-    candidate_residuals = residuals(CANDIDATE_C3_COEFFICIENTS)
-    candidate_ok = not any(candidate_residuals)
-
-    witness = None
-    miss = next((k for k, r in enumerate(candidate_residuals) if r), None)
-    if miss is not None:
-        (h1, h2), c3 = ETA_MODEL_POINTS[miss], model[miss][3]
-        witness = {
-            "eta": [format_rational(h1), format_rational(h2), format_rational(-h1 - h2)],
-            "expected": format_rational(c3),
-            "candidate_value": format_rational(candidate_residuals[miss] + c3),
-        }
-
-    return {
-        "kernel_dimension": len(kernel),
-        "newton_representative_confirmed": newton_ok,
-        "candidate_confirmed": candidate_ok,
-        "witness": witness,
-    }
+    return len(kernel), residuals(C3_COEFFICIENTS), residuals(CANDIDATE_C3_COEFFICIENTS)
 
 
-def eigenstructure_check(m: So8Element, tag: str, v: Optional[InvariantVector] = None,
-                         e: Optional[SpectralCoefficients] = None) -> dict:
-    """Coefficient-level consequences of the eigenvalue pattern claimed for `tag`.
+def eigenstructure_check(m: So8Element, tag: str, v: InvariantVector,
+                         e: SpectralCoefficients) -> dict:
+    """Coefficient-level consequences of the eigenvalue pattern claimed for `tag`,
+    read off v = invariant_vector(m) and e = spectral_coefficients(m).
 
     so8: no constraint (reported as generic). so7: two zero eigenvalues force
     e4 = 0 and Pf = 0. g2: additionally the zero-sum eigenvalue triple forces
     e2 = e1^2/4 and Tr(M^4) = Tr(M^2)^2/4, the degree-6 restriction c3 of
-    g2_restriction() equals -e3, and m must be fixed by the order-3 map.
-
-    A caller that already holds invariant_vector(m) or
-    spectral_coefficients(m) passes it as v or e instead of recomputing it."""
+    g2_restriction() equals -e3, and m must be fixed by the order-3 map."""
     if tag not in ("so8", "so7", "g2"):
         raise ValueError(f"unknown tag {tag!r}; expected so8, so7 or g2")
-    if v is None:
-        v = invariant_vector(m)
-    if e is None:
-        e = spectral_coefficients(m)
     constraints: dict[str, bool] = {}
     if tag in ("so7", "g2"):
         constraints["pf_zero"] = v.pf == 0

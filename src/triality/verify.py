@@ -48,6 +48,8 @@ class RunConfig:
 
 
 def build_report(cfg: RunConfig) -> list[dict]:
+    if cfg.suite not in (None, *SUITES):
+        raise ValueError(f"unknown suite {cfg.suite!r}; expected one of {', '.join(SUITES)}")
     tmap = (automorphisms.TrialityMap.corrupted() if cfg.corrupt_constant
             else automorphisms.TrialityMap.standard())
     # the generic samples m_k = random_element(seed + k, bound) are drawn and
@@ -66,8 +68,7 @@ def build_report(cfg: RunConfig) -> list[dict]:
         ("so8.bracket_antisymmetry", _check_bracket_antisymmetry),
         ("triality.block_identities", lambda: _check_block(tmap)),
         ("triality.order_three", lambda: _check_order_three(tmap)),
-        ("triality.bracket_preservation", lambda: automorphisms.verify_bracket_preservation(
-            cfg.samples, cfg.seed, tmap, cfg.bound)),
+        ("triality.bracket_preservation", lambda: _check_bracket_preservation(cfg, tmap)),
         ("triality.fixed_dims", lambda: _check_fixed_dims(tmap)),
         ("triality.trace_form", lambda: _check_trace_form(tmap)),
         ("invariants.transformation_law", lambda: _check_transformation_law(samples())),
@@ -80,8 +81,7 @@ def build_report(cfg: RunConfig) -> list[dict]:
         ("invariants.g2_locus", lambda: _check_locus(g2_samples())),
         ("invariants.so7_locus", lambda: _check_locus(
             _locus_samples(cfg, automorphisms.so7_fixed_subalgebra()))),
-        ("invariants.generic_eigenstructure",
-         lambda: _check_generic_eigenstructure(cfg, samples())),
+        ("invariants.generic_eigenstructure", lambda: _check_generic_eigenstructure(cfg)),
         ("invariants.c3_model", _check_c3_model),
         ("invariants.eta4_coefficient_discrepancy", lambda: _check_eta_discrepancy(
             "e2", invariants.candidate_eta4_coefficient,
@@ -377,6 +377,27 @@ def _check_order_three(tmap: automorphisms.TrialityMap) -> dict:
                   cube_is_identity=cube_ok, nontrivial=nontrivial)
 
 
+def _check_bracket_preservation(cfg: RunConfig, tmap: automorphisms.TrialityMap) -> dict:
+    # the 28 * 28 generator pairs decide the identity by bilinearity; the
+    # sampled pairs m_2k, m_2k+1 test it once more through the dense bracket
+    failures = [([so8.GENERATORS[a].label, so8.GENERATORS[b].label], lhs, rhs)
+                for a, b, lhs, rhs in automorphisms.verify_bracket_preservation(tmap)]
+    for k in range(cfg.samples):
+        x = so8.random_element(cfg.seed + 2 * k, cfg.bound)
+        y = so8.random_element(cfg.seed + 2 * k + 1, cfg.bound)
+        lhs = tmap.apply(so8.bracket(x, y))
+        rhs = so8.bracket(tmap.apply(x), tmap.apply(y))
+        if lhs != rhs:
+            failures.append((["sample", k], lhs, rhs))
+    fields = {"pairs_checked": 28 * 28 + cfg.samples, "violations": len(failures)}
+    if not failures:
+        return _entry(True, **fields)
+    pair, lhs, rhs = failures[0]
+    return _entry(False, {"pair": pair, "image_of_bracket": lhs.to_json("coeffs")["coeffs"],
+                          "bracket_of_images": rhs.to_json("coeffs")["coeffs"]},
+                  violating_pairs=[pair for pair, _, _ in failures[:10]], **fields)
+
+
 def _check_fixed_dims(tmap: automorphisms.TrialityMap) -> dict:
     # construction raises on a wrong dimension or a non-closed span, which the
     # report wrapper turns into a failed entry
@@ -514,7 +535,8 @@ def _locus_samples(cfg: RunConfig, sub: automorphisms.FixedSubalgebra) -> list[_
     for k in range(min(cfg.samples, 50)):
         m = sub.random_element(cfg.seed + k, cfg.bound)
         v = invariants.invariant_vector(m)
-        out.append(_LocusSample(v, invariants.eigenstructure_check(m, sub.tag, v)))
+        out.append(_LocusSample(v, invariants.eigenstructure_check(
+            m, sub.tag, v, invariants.spectral_coefficients(m))))
     return out
 
 
@@ -528,11 +550,11 @@ def _check_locus(samples: list[_LocusSample]) -> dict:
     return _sampled(len(samples), witness)
 
 
-def _check_generic_eigenstructure(cfg: RunConfig, samples: list[_Sample]) -> dict:
-    # m_0 = random_element(seed, bound) is the first generic sample
+def _check_generic_eigenstructure(cfg: RunConfig) -> dict:
+    # m_0, the first generic sample, drawn and evaluated on its own
     m = so8.random_element(cfg.seed, cfg.bound)
-    known = (samples[0].v, samples[0].e) if samples else (None, None)
-    check = invariants.eigenstructure_check(m, "so8", *known)
+    check = invariants.eigenstructure_check(m, "so8", invariants.invariant_vector(m),
+                                            invariants.spectral_coefficients(m))
     return _entry(check["status"] == "generic", reported=check["status"])
 
 
@@ -580,13 +602,20 @@ def _check_eta_discrepancy(field: str, candidate_of: Callable, candidate_express
 
 
 def _check_c3_discrepancy() -> dict:
-    result = invariants.derive_c3_coefficients()
-    confirmed = (result["newton_representative_confirmed"]
-                 and not result["candidate_confirmed"]
-                 and result["kernel_dimension"] == 1
-                 and result["witness"] is not None)
-    return _discrepancy(confirmed, "p1^3/16 - 5 p1 p2 + 8 p3", "p1^3/48 - p1 p2/8 + p3/6",
-                        result["witness"], solution_family_dimension=result["kernel_dimension"])
+    # the derived coefficients lie on the 1-dimensional solution family at
+    # every model point; the candidate misses it at some point, the witness
+    kernel_dimension, derived, candidate = invariants.derive_c3_coefficients()
+    miss = next((k for k, r in enumerate(candidate) if r), None)
+    witness = None
+    if miss is not None:
+        h1, h2 = invariants.ETA_MODEL_POINTS[miss]
+        c3 = invariants.eta_model_values(h1, h2)[3]
+        witness = {"eta": [format_rational(h1), format_rational(h2), format_rational(-h1 - h2)],
+                   "expected": format_rational(c3),
+                   "candidate_value": format_rational(candidate[miss] + c3)}
+    return _discrepancy(kernel_dimension == 1 and not any(derived) and witness is not None,
+                        "p1^3/16 - 5 p1 p2 + 8 p3", "p1^3/48 - p1 p2/8 + p3/6",
+                        witness, solution_family_dimension=kernel_dimension)
 
 
 def _check_trace_ratio_discrepancy(samples: list[_LocusSample]) -> dict:

@@ -12,8 +12,7 @@ from fractions import Fraction
 
 from triality.automorphisms import (ORDER3_BLOCK, g2_fixed_subalgebra,
                                     identify_fixed_algebra, sigma,
-                                    so7_fixed_subalgebra,
-                                    verify_bracket_preservation)
+                                    so7_fixed_subalgebra)
 from triality.exact import SquareMatrix
 from triality.invariants import (C3_COEFFICIENTS, CANDIDATE_C3_COEFFICIENTS,
                                  ETA_MODEL_POINTS, T_MATRIX,
@@ -71,7 +70,8 @@ def test_criterion_04_sigma_is_order3_automorphism():
     for g in GENERATORS:
         e = So8Element.from_generator(g)
         assert sigma(sigma(sigma(e))) == e
-    report = verify_bracket_preservation(samples=100, seed=SEED)
+    entries = build_report(RunConfig(samples=100, seed=SEED, bound=BOUND, suite="triality"))
+    report = next(e for e in entries if e["check_id"] == "triality.bracket_preservation")
     assert report["status"] == "pass"
     assert report["violations"] == 0
     assert report["pairs_checked"] == 28 * 28 + 100

@@ -13,6 +13,7 @@ from triality.automorphisms import (ORDER3_BLOCK, FixedSubalgebra, TrialityMap,
 from triality.exact import (ConsistencyError, format_rational, integer_rows,
                             kernel_basis_of_rows, rref)
 from triality.so8 import GENERATORS, Generator, So8Element, bracket, random_element
+from triality.verify import RunConfig, _check_bracket_preservation
 
 HALF = Fraction(1, 2)
 
@@ -113,7 +114,7 @@ class TestSigma:
 
 def dense_bracket_preservation(samples: int, seed: int, tmap: TrialityMap,
                                bound: int = 9) -> dict:
-    """The report of `verify_bracket_preservation` with every pair, generator
+    """The `triality.bracket_preservation` entry with every pair, generator
     pairs included, checked through the dense matrix commutator."""
     violations = 0
     violating_pairs: list = []
@@ -163,17 +164,19 @@ def _sign_flipped_block(r: int, c: int) -> SquareMatrix:
 
 class TestBracketPreservation:
     def test_clean_map_has_no_violations(self):
-        report = verify_bracket_preservation(samples=25, seed=42)
-        assert report["status"] == "pass"
-        assert report["violations"] == 0
-        assert report["pairs_checked"] == 28 * 28 + 25
+        assert verify_bracket_preservation(TrialityMap.standard()) == []
 
     def test_corrupted_block_fails(self):
-        report = verify_bracket_preservation(samples=5, seed=42,
-                                             tmap=TrialityMap.corrupted())
-        assert report["status"] == "fail"
-        assert report["violations"] > 0
-        assert "counterexample" in report
+        tmap = TrialityMap.corrupted()
+        failures = verify_bracket_preservation(tmap)
+        assert failures
+        pairs = [(a, b) for a, b, _, _ in failures]
+        assert pairs == sorted(set(pairs))
+        elems = [So8Element.from_generator(g) for g in GENERATORS]
+        for a, b, image_of_bracket, bracket_of_images in failures:
+            assert image_of_bracket == tmap.apply(bracket(elems[a], elems[b]))
+            assert bracket_of_images == bracket(tmap.apply(elems[a]), tmap.apply(elems[b]))
+            assert image_of_bracket != bracket_of_images
 
     @pytest.mark.parametrize("flip", [None, "corrupted"]
                              + [(r, c) for r in range(4) for c in range(4)], ids=str)
@@ -184,7 +187,7 @@ class TestBracketPreservation:
             tmap = TrialityMap.corrupted()
         else:
             tmap = TrialityMap(_sign_flipped_block(*flip))
-        report = verify_bracket_preservation(samples=3, seed=42, tmap=tmap)
+        report = _check_bracket_preservation(RunConfig(samples=3, seed=42), tmap)
         assert report == dense_bracket_preservation(3, 42, tmap)
         # every sign flip breaks the automorphism, on over a third of the pairs
         assert (report["violations"] > 28 * 28 / 3) == (flip is not None)

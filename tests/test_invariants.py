@@ -271,13 +271,12 @@ class TestEtaModel:
         assert c3 == 4
 
     def test_derivation_report(self):
-        result = derive_c3_coefficients()
-        assert result["kernel_dimension"] == 1
-        assert result["newton_representative_confirmed"] is True
-        assert result["candidate_confirmed"] is False
-        assert result["witness"]["eta"] == ["1", "1", "-2"]
-        assert result["witness"]["candidate_value"] == "-996"
-        assert result["witness"]["expected"] == "4"
+        kernel_dimension, derived, candidate = derive_c3_coefficients()
+        assert kernel_dimension == 1
+        assert len(derived) == len(candidate) == len(ETA_MODEL_POINTS)
+        assert not any(derived)
+        # the first model point, eta = (1, 1, -2): the candidate gives -996, c3 is 4
+        assert candidate[0] == -996 - 4
 
 
 class TestRestriction:
@@ -319,16 +318,20 @@ class TestRestriction:
             assert spectral_coefficients(m).e4 == 0
 
 
+def _eigenstructure(m, tag):
+    return eigenstructure_check(m, tag, invariant_vector(m), spectral_coefficients(m))
+
+
 class TestEigenstructure:
     def test_so7_tag(self):
         m = so7_fixed_subalgebra().random_element(4400)
-        report = eigenstructure_check(m, "so7")
+        report = _eigenstructure(m, "so7")
         assert report["status"] == "pass"
         assert report["constraints"] == {"pf_zero": True, "e4_zero": True}
 
     def test_g2_tag(self):
         m = g2_fixed_subalgebra().random_element(4401)
-        report = eigenstructure_check(m, "g2")
+        report = _eigenstructure(m, "g2")
         assert report["status"] == "pass"
         assert report["constraints"]["e2_is_quarter_e1_squared"] is True
         assert report["constraints"]["p2_is_quarter_p1_squared"] is True
@@ -336,18 +339,18 @@ class TestEigenstructure:
         assert report["constraints"]["sigma_fixed"] is True
 
     def test_generic_tag(self):
-        report = eigenstructure_check(random_element(4402), "so8")
+        report = _eigenstructure(random_element(4402), "so8")
         assert report["status"] == "generic"
         assert report["constraints"] == {}
 
     def test_failing_constraint_detected(self):
-        report = eigenstructure_check(random_element(4403), "g2")
+        report = _eigenstructure(random_element(4403), "g2")
         assert report["status"] == "fail"
         assert report["constraints"]["sigma_fixed"] is False
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
-            eigenstructure_check(random_element(4404), "e8")
+            _eigenstructure(random_element(4404), "e8")
 
 
 class TestBlockElementConstructor:

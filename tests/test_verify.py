@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
 import json
+import marshal
 import os
 import signal
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -38,6 +40,10 @@ class TestReport:
             assert entry["witness"] is not None
             assert "candidate_expression" in entry
             assert "derived_expression" in entry
+        c3 = entries["invariants.c3_coefficient_discrepancy"]
+        assert c3["solution_family_dimension"] == 1
+        assert c3["witness"] == {"eta": ["1", "1", "-2"], "expected": "4",
+                                 "candidate_value": "-996"}
 
     def test_headline_check_reports_sample_count(self):
         entries = {e["check_id"]: e for e in build_report(RunConfig(samples=7, seed=1))}
@@ -53,6 +59,12 @@ class TestReport:
         assert entries
         assert all(e["suite"] == "octonion" for e in entries)
         assert set(SUITES) == {"octonion", "so8", "triality", "invariants"}
+
+    def test_an_unknown_suite_is_an_error(self):
+        # a report of zero checks would pass
+        with pytest.raises(ValueError, match="'octonians'; expected one of "
+                                             "octonion, so8, triality, invariants"):
+            build_report(RunConfig(suite="octonians"))
 
     def test_corrupted_constant_fails_with_counterexample(self):
         entries = build_report(RunConfig(samples=2, seed=42, suite="triality",
@@ -106,13 +118,13 @@ class TestReport:
 
     def test_bound_reaches_bracket_preservation(self, monkeypatch):
         bounds = []
-        draw = automorphisms.random_element
+        draw = so8.random_element
 
         def recording(seed, bound=9):
             bounds.append(bound)
             return draw(seed, bound)
 
-        monkeypatch.setattr(automorphisms, "random_element", recording)
+        monkeypatch.setattr(so8, "random_element", recording)
         entries = build_report(RunConfig(samples=2, bound=1, suite="triality"))
         assert report_passed(entries)
         assert bounds == [1] * 4
@@ -122,8 +134,15 @@ class TestReport:
 # Failure paths: each case breaks one library function and pins which checks
 # catch it. A check that still passed would be reading the broken function on
 # its oracle side too, so each listed failure shows the function is not an
-# oracle of that check.
+# oracle of that check. Each case also pins the digest of the entries that
+# differ from the unperturbed report, compared position by position; with
+# that report's own digest, this pins every perturbed report whole, while a
+# new entry that no perturbation changes re-pins only the unperturbed digest.
 # ---------------------------------------------------------------------------
+
+FAILURE_CONFIG = RunConfig(samples=2, seed=42)
+
+UNPERTURBED_DIGEST = "d80bca328003cc2a964bb253d4fcaa3b62005055374b59b8ccf8680bb170ed90"
 
 # the cached tables a perturbation can poison, as imported (a case may replace
 # the module attribute itself)
@@ -304,91 +323,91 @@ FAILURE_PATHS = [
                  ["octonion.table_rules",
                   "octonion.rotation_automorphism",
                   "octonion.norm_composition"],
-                 "3084eb118b43a36903308ed6beb1d6c7374e3ad6a6b4214836494b9fc214f38d",
+                 "b7f17c494e3122a2c646c2d192af2873bc1aa6ec51fb1233e14be8055b9f72ea",
                  id="octonion_table_entry"),
     pytest.param(_octonion_square,
                  ["octonion.table_rules",
                   "octonion.rotation_automorphism",
                   "octonion.norm_composition"],
-                 "6f0dac4af88469e9f11f0607caf848e86bbc6b3ef425e34ce5a62b667b596c4a",
+                 "c65c0ce96c96c36bb7f1f8bbea70533e12b1508f08a0b9d82d456f64bfebea4e",
                  id="octonion_square"),
     pytest.param(_rotation_matrix,
                  ["octonion.rotation_automorphism"],
-                 "c9d7ec30a9997c4b8ee20955d280441dc18120364f4858343d21c9621e6800e9",
+                 "a8e3c7797f510ae99004977112648842eb75aac31eee7d6452edf34ab3a17c4d",
                  id="rotation_matrix"),
     pytest.param(_fano_lines,
                  ["octonion.quaternion_lines"],
-                 "fca3e0c7dacf9ec6f5e91e3934460301021f2d9e575cf8bfcd479a5e60071b12",
+                 "f1bbdaf7ebf4da2c9c92aa8057f1fe7ab266f180dfd575e9b47b4eedcbb3e16e",
                  id="fano_lines"),
     pytest.param(_norm_squared,
                  ["octonion.norm_composition"],
-                 "458b23e12427363a0801b099c11f6d7c685295812c476002f394b4021ff2c882",
+                 "89dd15ad454a93741e66d2c22c403c3812090dd672d48c7720fd785adf093f91",
                  id="norm_squared"),
     pytest.param(_from_matrix,
                  ["so8.dimension_roundtrip",
                   "invariants.pfaffian_consistency"],
-                 "bf57fefd2f111468bea068e324b657ee140a34659424435b84b4ab9f75697e4e",
+                 "90eab8764f4bca13363da2958841828515e14c16bcbc10984a4fd238cdddba2e",
                  id="from_matrix"),
     pytest.param(_zero_bracket,
                  ["so8.bracket_antisymmetry",
                   "triality.bracket_preservation"],
-                 "b86fa819674e35d62acc90672327be5f7b146844a1cbf9a3666735188eca7494",
+                 "4386145136110c66e89bbbd291175db7427565fe6adc8ae3912815a798cc0314",
                  id="zero_bracket"),
     pytest.param(_quadruples,
                  ["so8.quadruple_partition"],
-                 "34e50034cbbdaa229fe6483902c481edaa43556c7c595c388fe486aa6daa6308",
+                 "f1fdd8061d8871da31925daea1f0098a0340e23ed9dc2a63d073532b71c834e5",
                  id="quadruples"),
     pytest.param(_quadruples_repeated,
                  ["so8.quadruple_partition"],
-                 "029a4f1690d28e53d95515801add037910c77297bf0daf7cfaf71f6ba1ba59ac",
+                 "3d594177a6589bd1eb45ebd10e7605e98c3063f5b334101506f6cb180ef77f8b",
                  id="quadruples_repeated"),
     pytest.param(_structure_table_sign,
                  ["so8.bracket_antisymmetry",
                   "triality.bracket_preservation"],
-                 "94beefb2d7232dafebe18c2f64e85a9dab380a3a310181804821f9fe3c7df7fc",
+                 "8c11b81e9103d654d844bfe4f1342a19d7a8f24cada8e56be4d6df670552d04e",
                  id="structure_table_sign"),
     pytest.param(_index_rule_sign,
                  ["so8.bracket_antisymmetry",
                   "triality.bracket_preservation"],
-                 "67417d84f8ef955c38d146043deb3a0b30ddaeec51fb3e2a5cac26da91875b13",
+                 "52d16b2c8f4e789142e2499614b3519e0b80d187b51499911826518132f4fb4d",
                  id="index_rule_sign"),
     pytest.param(_involution_sign,
                  ["triality.fixed_dims",
                   "invariants.so7_locus"],
-                 "8c87d410b5fbb4d9457da2be651f00f63b2a8a7917eaec8ed7956b678d0f0d30",
+                 "0114eaed2b7c03fb33c14f782c21efbca255a5433f7b84ebcd7081bcb28167fd",
                  id="involution_sign"),
     pytest.param(_generic_eigenstructure,
                  ["invariants.generic_eigenstructure"],
-                 "3ee6c5d7a8a2bf6e41327877a54556c65b4a9ac1907cd3a8413823d899661dff",
+                 "1a885c5b4ea56dce7918ea61bfc053c39cac806b50606d23560227ae60e185e6",
                  id="generic_eigenstructure"),
     pytest.param(_t_matrix,
                  ["invariants.transformation_law",
                   "invariants.transformation_order_three",
                   "invariants.t_matrix"],
-                 "df57ee4b2324df85525b1ecf5e8f6a4a635bcdc656fe4b6cf50f3527372660c6",
+                 "9280c03b602a6095dcf7f04b704d4374f361bb2827d5ddd4362ad17e3967e1f8",
                  id="t_matrix"),
     pytest.param(_degree6_invariants,
                  ["invariants.t_matrix",
                   "invariants.degree6_invariance"],
-                 "097e5c241e0c0e8a728fe777d7c71e70682cbb6eca6abc7781ce88d6ce233ba1",
+                 "ac1d81a7469044beea0803f53c69803b9bd60d30a4e06556f9b96b7243ab30d6",
                  id="degree6_invariants"),
     pytest.param(_c3_coefficients,
                  ["invariants.g2_locus",
                   "invariants.c3_model",
                   "invariants.c3_coefficient_discrepancy"],
-                 "b2ae674049908aa22d5aa64a176c546fa98887b4c7dd965da1acdf31139cc60b",
+                 "ea0cd1d71468adb41edcba19bc0c27fee5fb777b5c0e7bd9666b6802a3a419a8",
                  id="c3_coefficients"),
     pytest.param(_eta4_candidate,
                  ["invariants.eta4_coefficient_discrepancy"],
-                 "b4e73ee558074ccdf7132bf24e3ab4c348ca230061b57518c824ae07ad0efc92",
+                 "c207619d59533bb0cb64707851df95af130da02bd1b0f07af8dc46722915a355",
                  id="eta4_candidate"),
     pytest.param(_eta2_candidate,
                  ["invariants.eta2_coefficient_discrepancy"],
-                 "0017afc5f4173b35cd67cf0dc7c4143c9c5d27f9fa582fd5c6d82f552ba4c141",
+                 "3a3c8c3c2f69e271d221ce72f0edd7d85dacbdf13ef5a7482df226b169bd5fdf",
                  id="eta2_candidate"),
     pytest.param(_pfaffian_permutation_sum,
                  ["invariants.pfaffian_consistency"],
-                 "52934410a806ee3dd425fd3ed47d6e7e849624b4fcbe2fe5e487beb9ca5b97fc",
+                 "bbf6610c415bfda0001d3ae1d260847172cc88eca986f700a13addea79ad5fd3",
                  id="pfaffian_permutation_sum"),
     pytest.param(_pfaffian_matchings,
                  ["invariants.transformation_law",
@@ -396,39 +415,39 @@ FAILURE_PATHS = [
                   "invariants.newton_oracle",
                   "invariants.g2_locus",
                   "invariants.so7_locus"],
-                 "c2186b30d695f40e7ebf06f9b161ed8fcfaf28617f7eb7612b9c917287670d4a",
+                 "183caa43eca667062dac99265fedbdca58dabb6fc30bc090a7a5df62d7d2feec",
                  id="pfaffian_matchings"),
     pytest.param(_invariant_vector,
                  ["invariants.newton_oracle",
                   "invariants.g2_locus",
                   "invariants.eta2_coefficient_discrepancy"],
-                 "87ebb67dab05179aebf4c207686aa31176e4dc1b8e485cb83ef6c75cc3ce6c13",
+                 "b53720d1fb560b73e52b58c4abd8e21feaf65702ddc341ce24f9d49fa313b333",
                  id="invariant_vector"),
     pytest.param(_spectral_coefficients,
                  ["invariants.newton_oracle",
                   "invariants.g2_locus",
                   "invariants.eta4_coefficient_discrepancy"],
-                 "e09d2b6ce499c0a08250b5b99f9222f36ed211eff017ac1dc8db6999569ec4f4",
+                 "a839c75a10d5c5e1b41add5eedc202398e5d81ec83fd6b6ac098cc5675d04d19",
                  id="spectral_coefficients"),
     pytest.param(_product_trace,
                  ["triality.trace_form"],
-                 "47c2188a70e610dd5cd4e7ce8e2a199de36287343f80a8f0ed60a1e73aeba41b",
+                 "e0804092f06fea5f90539e907007acebd22dfa174cd81d0f3a6b8bbc2acc4757",
                  id="product_trace"),
     pytest.param(_fixed_subalgebra,
                  ["triality.fixed_dims",
                   "invariants.g2_locus",
                   "invariants.g2_trace_ratio_discrepancy"],
-                 "146855606efb4e8f87245bcf420e0a1d852edff4c89a0b237441721bede7983b",
+                 "0562c3e9bf2d34bf4ea637449df5542cfea2921f5064af21dc835a58317a8ef7",
                  id="fixed_subalgebra"),
     pytest.param(_sigma_transform_invariants,
                  ["invariants.transformation_law",
                   "invariants.transformation_order_three"],
-                 "d36343415ada5338fe25e6b2e0c8db5cd6abe0f5afa764775b3aebc99e858417",
+                 "2ec5168cdd047358b8f3241abde778dece1d57ac432645f0121f7adc96177ea6",
                  id="sigma_transform_invariants"),
     pytest.param(_newton_coefficients,
                  ["invariants.newton_oracle",
                   "invariants.eta2_coefficient_discrepancy"],
-                 "97444d4a3941e9af95734b0b37feaf7507369723a9f62e419a52fc1c8685bc3d",
+                 "5f0ab1a99f79d805ecd2fb06b78afab390a4bf0ca4fae585637d2637d8d69ace",
                  id="newton_coefficients"),
 ]
 
@@ -444,15 +463,29 @@ def fresh_caches():
         cached.cache_clear()
 
 
+def _digest(entries):
+    return hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def unperturbed_report():
+    return build_report(FAILURE_CONFIG)
+
+
+def test_the_unperturbed_report_is_pinned(unperturbed_report):
+    assert _digest(unperturbed_report) == UNPERTURBED_DIGEST
+
+
 @pytest.mark.parametrize("perturb, failing, digest", FAILURE_PATHS)
-def test_a_broken_function_fails_exactly_its_checks(perturb, failing, digest,
-                                                    monkeypatch, fresh_caches):
+def test_a_broken_function_fails_exactly_its_checks(perturb, failing, digest, monkeypatch,
+                                                    unperturbed_report, fresh_caches):
     perturb(monkeypatch)
-    entries = build_report(RunConfig(samples=2, seed=42))
+    entries = build_report(FAILURE_CONFIG)
+    assert [e["check_id"] for e in entries] == [e["check_id"] for e in unperturbed_report]
     got = [e["check_id"] for e in entries if e["status"] == "fail"]
-    got_digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
+    changed = [e for e, before in zip(entries, unperturbed_report) if e != before]
     assert got == failing
-    assert got_digest == digest
+    assert _digest(changed) == digest
 
 
 # ---------------------------------------------------------------------------
@@ -468,20 +501,28 @@ def _in_child_lane(check_id):
     return check_id.startswith("triality.") or check_id in _CHILD_LANE
 
 
-def _exit_3():
-    os._exit(3)
+def _exit_3(monkeypatch):
+    monkeypatch.setattr(verify, "_check_fixed_dims", lambda tmap: os._exit(3))
 
 
-def _kill_self():
-    os.kill(os.getpid(), signal.SIGKILL)
+def _kill_self(monkeypatch):
+    monkeypatch.setattr(verify, "_check_fixed_dims",
+                        lambda tmap: os.kill(os.getpid(), signal.SIGKILL))
 
 
-@pytest.mark.parametrize("die, error", [
+def _truncated_report(monkeypatch):
+    # the child exits with status 0, but its report lacks its last byte
+    monkeypatch.setattr(verify, "marshal", types.SimpleNamespace(
+        dumps=lambda entries: marshal.dumps(entries)[:-1], loads=marshal.loads))
+
+
+@pytest.mark.parametrize("break_child, error", [
     (_exit_3, "fixed-locus lane: child process exited with status 3"),
     (_kill_self, f"fixed-locus lane: child process was killed by signal {signal.SIGKILL.value}"),
-], ids=["exit_3", "sigkill"])
-def test_a_dead_child_fails_exactly_its_lane(die, error, monkeypatch, small_report):
-    monkeypatch.setattr(verify, "_check_fixed_dims", lambda tmap: die())
+    (_truncated_report, "fixed-locus lane: child process sent a malformed report"),
+], ids=["exit_3", "sigkill", "malformed_report"])
+def test_a_dead_child_fails_exactly_its_lane(break_child, error, monkeypatch, small_report):
+    break_child(monkeypatch)
     entries = build_report(SMALL)
     assert [e["check_id"] for e in entries] == [e["check_id"] for e in small_report]
     for entry in entries:
