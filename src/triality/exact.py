@@ -17,12 +17,13 @@ too.
 of so(8) elements and octonions; its `Fraction` view is `coeffs`.
 
 One fraction-free Gauss-Jordan elimination on integer rows, `rref`, serves
-every elimination: determinants, kernels, ranks and `SpanSolver`'s span
-membership and coordinates. Kernels stay integers: `kernel_basis_of_rows`
-takes integer rows and returns primitive integer vectors. `SpanSolver`
-coordinates become `Fraction`s only at its API. All results are exact,
-which is what the rest of the toolkit relies on: every downstream check is
-an identity, never a tolerance.
+kernels, ranks and `SpanSolver`'s span membership and coordinates.
+`SquareMatrix.determinant` runs only its forward half, which needs neither
+the rows above a pivot nor the columns left of it. Kernels stay integers:
+`kernel_basis_of_rows` takes integer rows and returns primitive integer
+vectors. `SpanSolver` coordinates become `Fraction`s only at its API. All
+results are exact, which is what the rest of the toolkit relies on: every
+downstream check is an identity, never a tolerance.
 """
 
 from __future__ import annotations
@@ -306,11 +307,29 @@ class SquareMatrix:
         return all(num[i][j] == -num[j][i] for i in range(self.dim) for j in range(i, self.dim))
 
     def determinant(self) -> Rational:
-        """Exact determinant via fraction-free elimination of the integer
-        numerators N over den: det(N / den) = det(N) / den^n."""
-        _, pivots, d, sign = rref(list(self.numerators))
-        det = sign * d if len(pivots) == self.dim else 0
-        return Fraction(det, self.denominator ** self.dim)
+        """Exact determinant of the integer numerators N over den, det(N / den)
+        = det(N) / den^n, by the forward half of `rref`'s fraction-free
+        elimination: no row above a pivot and no column left of it is
+        touched. Each step swaps a row with a nonzero leading entry to the
+        top, flipping the sign, and replaces each row below it by
+        (x * piv - row[0] * y) // prev on the trailing columns, y being the
+        pivot row's entry; each entry is then a minor of N, so the division
+        is exact, and the last pivot is det(N) up to the sign (Bareiss,
+        Math. Comp. 22, 1968). A column with no pivot means det(N) = 0."""
+        rows = list(self.numerators)
+        prev = sign = 1
+        while rows:
+            k = next((i for i, row in enumerate(rows) if row[0]), None)
+            if k is None:
+                return _ZERO
+            if k:
+                rows[0], rows[k] = rows[k], rows[0]
+                sign = -sign
+            piv, *lead = rows[0]
+            rows = [[(x * piv - row[0] * y) // prev for x, y in zip(row[1:], lead)]
+                    for row in rows[1:]]
+            prev = piv
+        return Fraction(sign * prev, self.denominator ** self.dim)
 
     def char_poly(self) -> tuple[Rational, ...]:
         """Characteristic polynomial det(self - x*I), exact, as its n + 1

@@ -108,8 +108,9 @@ def canonical_block_element(lams: Sequence[Rational]) -> So8Element:
 
 
 # ---------------------------------------------------------------------------
-# Pfaffian, two ways. Pf^2 = det is the third, independent oracle; that
-# Bareiss determinant is also e4 in spectral_coefficients below.
+# Pfaffian, two ways. Pf^2 = det is the third, independent oracle: the
+# determinant is a forward Bareiss elimination that reads no Pfaffian, and
+# it is also e4 in spectral_coefficients below.
 # ---------------------------------------------------------------------------
 
 @functools.cache

@@ -60,6 +60,13 @@ GENERATOR_INDEX: dict[Generator, int] = {g: n for n, g in enumerate(GENERATORS)}
 _PAIRS: tuple[tuple[int, int], ...] = tuple((g.i, g.j) for g in GENERATORS)
 
 
+def _negated(text: str) -> str:
+    """The canonical string of minus the rational written canonically as `text`."""
+    if text[0] == "-":
+        return text[1:]
+    return text if text == "0" else "-" + text
+
+
 class So8Element(RationalVector):
     """An so(8) element: 28 coefficients over the generators, as integer
     numerators over one positive denominator in lowest terms (see
@@ -121,13 +128,22 @@ class So8Element(RationalVector):
         return "So8Element(" + (" + ".join(terms) if terms else "0") + ")"
 
     def to_json(self, encoding: str = "both") -> dict:
-        out: dict = {}
-        if encoding in ("coeffs", "both"):
-            out["coeffs"] = format_numerators(self.numerators, self.denominator)
-        if encoding in ("matrix", "both"):
-            out["matrix"] = self.matrix.to_json()
-        if not out:
+        """The coefficient strings, the matrix of strings, or both. Entry
+        (i, j) of the matrix is the string of the G(i, j) coefficient and
+        entry (j, i) that string negated, since the matrix shares the
+        element's denominator."""
+        if encoding not in ("coeffs", "matrix", "both"):
             raise ValueError(f"unknown encoding {encoding!r}")
+        coeffs = format_numerators(self.numerators, self.denominator)
+        out: dict = {}
+        if encoding != "matrix":
+            out["coeffs"] = coeffs
+        if encoding != "coeffs":
+            rows = [["0"] * 8 for _ in range(8)]
+            for (i, j), c in zip(_PAIRS, coeffs):
+                rows[i][j] = c
+                rows[j][i] = _negated(c)
+            out["matrix"] = rows
         return out
 
     @classmethod

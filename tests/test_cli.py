@@ -11,7 +11,7 @@ from triality import automorphisms, cli, invariants
 from triality.cli import main
 from triality.invariants import (canonical_block_element, invariant_vector,
                                  sigma_transform_invariants)
-from triality.so8 import Generator, So8Element, random_element
+from triality.so8 import GENERATORS, Generator, So8Element, random_element
 
 
 def run_cli(*args):
@@ -333,14 +333,35 @@ RATIONAL_GOLDEN_SHA256 = {
 }
 
 
-def _rational_element(tmp_path):
+# the same for `_singular_rational_element`, whose matrix has a zero last row
+# and column, so that e4 = pf = 0 and the determinant finds no pivot
+SINGULAR_RATIONAL_GOLDEN_SHA256 = {
+    "eval": "6595c8268fc1e67717db3b151be281d20e5ba85d7400a22cebd2d5ed7fffe877",
+    "sigma": "ae70b5fb63108a8985f16ebe1b44e57b1d7581bcbbf7f1bb0d957e7fbbf7d848",
+}
+
+
+def _rational_coeffs():
     """Coefficients p/q with |p| <= 10^6 and q <= 10^3, drawn independently."""
     rng = random.Random(2009)
-    coeffs = [str(Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3)))
-              for _ in range(28)]
+    return [str(Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3)))
+            for _ in range(28)]
+
+
+def _write_coeffs(tmp_path, coeffs):
     path = tmp_path / "rational.json"
     path.write_text(json.dumps({"coeffs": coeffs}))
     return str(path)
+
+
+def _rational_element(tmp_path):
+    return _write_coeffs(tmp_path, _rational_coeffs())
+
+
+def _singular_rational_element(tmp_path):
+    """`_rational_element` with every generator G(i, 7) at zero."""
+    return _write_coeffs(tmp_path, ["0" if g.j == 7 else c
+                                    for g, c in zip(GENERATORS, _rational_coeffs())])
 
 
 class TestGoldenOutput:
@@ -356,6 +377,17 @@ class TestGoldenOutput:
         assert main([command, "--input", _rational_element(tmp_path), "--json"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert digest == RATIONAL_GOLDEN_SHA256[command]
+
+    @pytest.mark.parametrize("command", sorted(SINGULAR_RATIONAL_GOLDEN_SHA256))
+    def test_singular_rational_element_output_is_byte_identical(self, command, tmp_path,
+                                                                capsys):
+        assert main([command, "--input", _singular_rational_element(tmp_path), "--json"]) == 0
+        out = capsys.readouterr().out
+        if command == "eval":
+            values = json.loads(out)["values"]
+            assert (values["e4"], values["pf"]) == ("0", "0")
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == SINGULAR_RATIONAL_GOLDEN_SHA256[command]
 
     def test_failing_invariants_report_is_byte_identical(self, capsys):
         # pins the counterexample witnesses of the failing sampled checks

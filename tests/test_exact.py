@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import NON_CANONICAL_ENTRIES
 from triality.exact import (SpanSolver, SquareMatrix, format_rational, integer_rows,
-                            kernel_basis_of_rows, read_ratio)
+                            kernel_basis_of_rows, read_ratio, rref)
 from triality.invariants import pfaffian_matchings, pfaffian_permutation_sum
 from triality.so8 import DIMENSION, So8Element
 
@@ -145,6 +145,59 @@ class TestDeterminant:
             b = SquareMatrix([[Fraction(rng.randint(-9, 9)) for _ in range(8)]
                               for _ in range(8)])
             assert (a * b).determinant() == a.determinant() * b.determinant()
+
+    # The reference is the full Gauss-Jordan route: `rref` of the numerators
+    # gives sign * d, its last pivot with the parity of its row swaps, when
+    # the rank is full.
+    @staticmethod
+    def rref_determinant(a):
+        _, pivots, d, sign = rref(list(a.numerators))
+        return Fraction(sign * d if len(pivots) == a.dim else 0, a.denominator ** a.dim)
+
+    def test_row_swaps_flip_the_sign(self):
+        swap = SquareMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        cycle = SquareMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        assert swap.determinant() == self.rref_determinant(swap) == -1
+        assert cycle.determinant() == self.rref_determinant(cycle) == 1
+
+    @settings(max_examples=60)
+    @given(rows=st.lists(st.lists(entries | st.just(Fraction(0)), min_size=8, max_size=8),
+                         min_size=8, max_size=8))
+    def test_matches_rref_on_large_rationals(self, rows):
+        a = SquareMatrix(rows)
+        assert a.determinant() == self.rref_determinant(a)
+
+    @given(rows=st.lists(st.lists(entries, min_size=8, max_size=8), min_size=7, max_size=7),
+           factors=st.lists(entries, min_size=7, max_size=7), position=st.integers(0, 7))
+    def test_rank_deficient_by_one(self, rows, factors, position):
+        # one row a combination of the other seven, placed at `position`
+        dependent = [sum((f * row[j] for f, row in zip(factors, rows)), Fraction(0))
+                     for j in range(8)]
+        a = SquareMatrix(rows[:position] + [dependent] + rows[position:])
+        assert a.determinant() == self.rref_determinant(a) == 0
+
+    @given(mats=square_matrices(max_n=8), column=st.integers(0, 7))
+    def test_zero_column(self, mats, column):
+        (a,) = mats
+        column %= a.dim
+        zeroed = SquareMatrix([[0 if j == column else x for j, x in enumerate(row)]
+                               for row in a.rows])
+        assert zeroed.determinant() == self.rref_determinant(zeroed) == 0
+
+    @given(entry=entries | st.just(Fraction(0)))
+    def test_one_by_one(self, entry):
+        a = SquareMatrix([[entry]])
+        assert a.determinant() == self.rref_determinant(a) == entry
+
+    @settings(max_examples=40)
+    @given(coeffs=st.lists(entries | st.just(Fraction(0)),
+                           min_size=DIMENSION, max_size=DIMENSION))
+    def test_matches_rref_on_so8_matrices(self, coeffs):
+        # the diagonal is zero, so the first step swaps a row up unless the
+        # first column is zero; Pf^2 is a second, independent reference
+        m = So8Element(coeffs)
+        assert (m.matrix.determinant() == self.rref_determinant(m.matrix)
+                == pfaffian_matchings(m) ** 2)
 
 
 def evaluate(coefficients, x):
