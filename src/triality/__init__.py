@@ -25,7 +25,7 @@ from .invariants import (C3_COEFFICIENTS, T_MATRIX, InvariantVector,
                          invariant_vector, newton_coefficients,
                          pfaffian_matchings, pfaffian_permutation_sum,
                          sigma_transform_invariants, spectral_coefficients,
-                         tr_power)
+                         spectral_discriminant, tr_power)
 from .verify import RunConfig, SUITES, build_report, report_passed
 
 __version__ = "0.1.0"
@@ -46,6 +46,7 @@ __all__ = [
     "eigenstructure_check", "eta_model_values", "fixed_degree6_space",
     "g2_restriction", "invariant_vector", "newton_coefficients",
     "pfaffian_matchings", "pfaffian_permutation_sum",
-    "sigma_transform_invariants", "spectral_coefficients", "tr_power",
+    "sigma_transform_invariants", "spectral_coefficients", "spectral_discriminant",
+    "tr_power",
     "RunConfig", "SUITES", "build_report", "report_passed",
 ]

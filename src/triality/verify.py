@@ -81,7 +81,8 @@ def build_report(cfg: RunConfig) -> list[dict]:
         ("invariants.g2_locus", lambda: _check_locus(g2_samples())),
         ("invariants.so7_locus", lambda: _check_locus(
             _locus_samples(cfg, automorphisms.so7_fixed_subalgebra()))),
-        ("invariants.generic_eigenstructure", lambda: _check_generic_eigenstructure(cfg)),
+        ("invariants.generic_eigenstructure",
+         lambda: _check_generic_eigenstructure(samples())),
         ("invariants.c3_model", _check_c3_model),
         ("invariants.eta4_coefficient_discrepancy", lambda: _check_eta_discrepancy(
             "e2", invariants.candidate_eta4_coefficient,
@@ -524,10 +525,13 @@ def _check_newton(samples: list[_Sample]) -> dict:
 
 
 class _LocusSample(NamedTuple):
-    """One locus sample m: its invariants and its eigenstructure check."""
+    """One sample m of the locus `tag`: its invariants, its characteristic-
+    polynomial coefficients and the locus constraints they meet or not."""
 
+    tag: str
     v: invariants.InvariantVector
-    check: dict
+    e: invariants.SpectralCoefficients
+    constraints: dict[str, bool]
 
 
 def _locus_samples(cfg: RunConfig, sub: automorphisms.FixedSubalgebra) -> list[_LocusSample]:
@@ -535,27 +539,33 @@ def _locus_samples(cfg: RunConfig, sub: automorphisms.FixedSubalgebra) -> list[_
     for k in range(min(cfg.samples, 50)):
         m = sub.random_element(cfg.seed + k, cfg.bound)
         v = invariants.invariant_vector(m)
-        out.append(_LocusSample(v, invariants.eigenstructure_check(
-            m, sub.tag, v, invariants.spectral_coefficients(m))))
+        e = invariants.spectral_coefficients(m)
+        out.append(_LocusSample(sub.tag, v, e, invariants.eigenstructure_check(m, sub.tag, v, e)))
     return out
 
 
 def _check_locus(samples: list[_LocusSample]) -> dict:
     def witness(k):
-        check = samples[k].check
-        if check["status"] != "pass":
-            return {"sample": k, "eigenstructure": check}
-        return None
+        s = samples[k]
+        if all(s.constraints.values()):
+            return None
+        return {"sample": k, "eigenstructure": {
+            "tag": s.tag, "status": "fail", "constraints": s.constraints,
+            "invariants": s.v.to_json(), "spectral": s.e.to_json()}}
 
     return _sampled(len(samples), witness)
 
 
-def _check_generic_eigenstructure(cfg: RunConfig) -> dict:
-    # m_0, the first generic sample, drawn and evaluated on its own
-    m = so8.random_element(cfg.seed, cfg.bound)
-    check = invariants.eigenstructure_check(m, "so8", invariants.invariant_vector(m),
-                                            invariants.spectral_coefficients(m))
-    return _entry(check["status"] == "generic", reported=check["status"])
+def _check_generic_eigenstructure(samples: list[_Sample]) -> dict:
+    # a generic element is regular semisimple, and m_k is iff the discriminant
+    # of its spectral quartic is nonzero; one draw can still be singular, so
+    # the entry fails only when every shared sample is
+    regular = [k for k, s in enumerate(samples) if invariants.spectral_discriminant(s.e)]
+    counterexample = None
+    if not regular and samples:
+        counterexample = {"sample": 0, "spectral": samples[0].e.to_json()}
+    return _entry(bool(regular), counterexample, samples=len(samples), regular=len(regular),
+                  first_regular=regular[0] if regular else None)
 
 
 def _check_c3_model() -> dict:

@@ -313,15 +313,15 @@ GOLDEN_OUTPUTS = {
     "fixed": (("fixed", "--json"), 0,
               "acc26a6b8345bcac4ea5b6761a69417e15ac95ae7f26767f6857ebcbb884dfba"),
     "verify": (("verify", "--json", "--samples", "3", "--seed", "42"), 0,
-               "17edb59f7964529fb9e7930a5b732c3e29f60e0178cf0daf82a204778340d02b"),
+               "8165e9b6b576cfd7225740a279a55b566fc465c6b913cebc744b5802762ee347"),
     "verify-text": (("verify",), 0,
-                    "8f881f8ffa3d9eb3575ebd43f3c809dbfb51bf3107c5f2a429134747793bf0ce"),
+                    "998b741f5e65139c4b1dbe32cd1e5babe4bf837ff1a430adc000eee28b3ad339"),
     "verify-default": (("verify", "--json"), 0,
-                       "4d2ed3dca170727e2dba576deb8898f40840773fa6897c364313f2e515ca553c"),
+                       "81efa419307b03eea4355a58fdb2910f2d91b1fb231ccaabda341ec6f0e5a9ee"),
     "corrupt-constant": (("verify", "--json", "--corrupt-constant"), 1,
-                         "deb230228a9decde459c517c42a48ab5aadaff53d02ffb5ebf3e089ad881b81a"),
+                         "3b4d535411e68fa4b5790f2906d1a4f3d2b06a450c16804fbc1d06d0c2d2f3fa"),
     "corrupt-constant-text": (("verify", "--corrupt-constant"), 1,
-                              "ad4723330782d196f70febf651235642ee82dbb91be13c8b9572c2cbc9e460cf"),
+                              "ac36071ee04d4c866044ac445cc3499b429c110fdd6207b282a79d9a0be654cd"),
 }
 
 
@@ -395,7 +395,7 @@ class TestGoldenOutput:
                 "--corrupt-constant"]
         assert main(argv) == 1
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-        assert digest == "0e77eab054fd76c2c9bb3a1818d7be5a95cecaa5786363f038632d8a7f48de00"
+        assert digest == "7d8b2892ecfaf25d996d79ee41d5670e5b6b18f10a09b559bf01174264ddc167"
 
     def test_failing_triality_report_is_byte_identical(self, capsys):
         # pins the violation count, the violating pairs and the counterexample

@@ -20,7 +20,8 @@ from triality.invariants import (C3_COEFFICIENTS, CANDIDATE_C3_COEFFICIENTS,
                                  newton_coefficients, pfaffian_matchings,
                                  pfaffian_permutation_sum,
                                  sigma_transform_invariants,
-                                 spectral_coefficients, tr_power)
+                                 spectral_coefficients, spectral_discriminant,
+                                 tr_power)
 from triality.exact import SquareMatrix
 from triality.so8 import DIMENSION, Generator, So8Element, random_element
 
@@ -132,6 +133,36 @@ class TestSpectral:
         cp = m.matrix.char_poly()
         expected = (cp[6], cp[4], cp[2], cp[0])
         assert spectral_coefficients(m).as_tuple() == expected
+
+
+def _squared_differences(lams):
+    squares = [Fraction(lam) ** 2 for lam in lams]
+    return math.prod((a - b) ** 2 for a, b in itertools.combinations(squares, 2))
+
+
+class TestDiscriminant:
+    @pytest.mark.parametrize("lams", [(1, 2, 3, 4), (Fraction(1, 2), Fraction(1, 3), 5, 7),
+                                      (0, 1, 2, 3)], ids=str)
+    def test_regular_block_models(self, lams):
+        disc = spectral_discriminant(spectral_coefficients(canonical_block_element(lams)))
+        assert disc == _squared_differences(lams) != 0
+
+    def test_a_zero_pfaffian_is_regular(self):
+        m = canonical_block_element((0, 1, 2, 3))
+        assert invariant_vector(m).pf == 0
+        assert spectral_discriminant(spectral_coefficients(m)) == 18662400
+
+    @pytest.mark.parametrize("lams", [(1, 1, 2, 3), (2, -2, 1, 3)], ids=str)
+    def test_singular_block_models(self, lams):
+        assert spectral_discriminant(spectral_coefficients(canonical_block_element(lams))) == 0
+
+    @settings(max_examples=60)
+    @given(lams=st.lists(st.builds(Fraction, st.integers(-10 ** 3, 10 ** 3),
+                                   st.integers(1, 10 ** 2)), min_size=4, max_size=4))
+    def test_rational_block_models(self, lams):
+        # parameters with unrelated denominators, and repeats up to sign
+        e = spectral_coefficients(canonical_block_element(lams))
+        assert spectral_discriminant(e) == _squared_differences(lams)
 
 
 class TestNewton:
@@ -325,28 +356,24 @@ def _eigenstructure(m, tag):
 class TestEigenstructure:
     def test_so7_tag(self):
         m = so7_fixed_subalgebra().random_element(4400)
-        report = _eigenstructure(m, "so7")
-        assert report["status"] == "pass"
-        assert report["constraints"] == {"pf_zero": True, "e4_zero": True}
+        assert _eigenstructure(m, "so7") == {"pf_zero": True, "e4_zero": True}
 
     def test_g2_tag(self):
         m = g2_fixed_subalgebra().random_element(4401)
-        report = _eigenstructure(m, "g2")
-        assert report["status"] == "pass"
-        assert report["constraints"]["e2_is_quarter_e1_squared"] is True
-        assert report["constraints"]["p2_is_quarter_p1_squared"] is True
-        assert report["constraints"]["c3_is_minus_e3"] is True
-        assert report["constraints"]["sigma_fixed"] is True
+        assert _eigenstructure(m, "g2") == {
+            "pf_zero": True, "e4_zero": True, "e2_is_quarter_e1_squared": True,
+            "p2_is_quarter_p1_squared": True, "c3_is_minus_e3": True, "sigma_fixed": True}
 
-    def test_generic_tag(self):
-        report = _eigenstructure(random_element(4402), "so8")
-        assert report["status"] == "generic"
-        assert report["constraints"] == {}
+    def test_so8_tag_is_rejected(self):
+        # a generic element meets no locus constraint; its regularity is
+        # read off spectral_discriminant instead
+        with pytest.raises(ValueError, match="'so8'; expected so7 or g2"):
+            _eigenstructure(random_element(4402), "so8")
 
     def test_failing_constraint_detected(self):
-        report = _eigenstructure(random_element(4403), "g2")
-        assert report["status"] == "fail"
-        assert report["constraints"]["sigma_fixed"] is False
+        constraints = _eigenstructure(random_element(4403), "g2")
+        assert not all(constraints.values())
+        assert constraints["sigma_fixed"] is False
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):

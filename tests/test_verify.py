@@ -116,6 +116,18 @@ class TestReport:
         assert g2["violations"] == 3
         assert "counterexample" in g2
 
+    def test_a_vanishing_pfaffian_leaves_the_samples_regular(self):
+        # pf = 0 on some draws at bound 1, but l_i = 0 kills no root of D4,
+        # so each of them is regular all the same
+        cfg = RunConfig(bound=1, samples=300, suite="invariants")
+        entries = build_report(cfg)
+        assert report_passed(entries)
+        entry = next(e for e in entries if e["check_id"] == "invariants.generic_eigenstructure")
+        assert (entry["status"], entry["samples"], entry["regular"], entry["first_regular"]) \
+            == ("pass", 300, 300, 0)
+        assert any(invariants.pfaffian_matchings(so8.random_element(cfg.seed + k, cfg.bound)) == 0
+                   for k in range(cfg.samples))
+
     def test_bound_reaches_bracket_preservation(self, monkeypatch):
         bounds = []
         draw = so8.random_element
@@ -142,7 +154,7 @@ class TestReport:
 
 FAILURE_CONFIG = RunConfig(samples=2, seed=42)
 
-UNPERTURBED_DIGEST = "d80bca328003cc2a964bb253d4fcaa3b62005055374b59b8ccf8680bb170ed90"
+UNPERTURBED_DIGEST = "645632d76e95818597eb82c560567a6159aa75af50dc222946eba9e2ab09d357"
 
 # the cached tables a perturbation can poison, as imported (a case may replace
 # the module attribute itself)
@@ -238,12 +250,22 @@ def _involution_sign(monkeypatch):
     monkeypatch.setattr(automorphisms, "_INVOLUTION_SIGNS", signs)
 
 
-def _generic_eigenstructure(monkeypatch):
-    # a generic element reported as meeting the constraints of a locus
-    def passing(check):
-        return dict(check, status="pass") if check["tag"] == "so8" else check
+def _repeated_root(monkeypatch):
+    # every element's spectral quartic made (x + e1/4)^4, a fourfold root, so
+    # that no generic sample is regular
+    def fourfold(e):
+        t = e.e1 / 4
+        return invariants.SpectralCoefficients(4 * t, 6 * t ** 2, 4 * t ** 3, t ** 4)
 
-    _shifted(monkeypatch, invariants, "eigenstructure_check", passing)
+    _shifted(monkeypatch, invariants, "spectral_coefficients", fourfold)
+
+
+def _singular_draws(monkeypatch):
+    # each draw cut down to its G(0,1) part, whose l_i^2 = (c^2, 0, 0, 0)
+    # repeat: every identity still holds on such elements, so only the
+    # regularity claim sees that the samples are not generic
+    g01 = so8.So8Element.from_generator(so8.GENERATORS[0])
+    _shifted(monkeypatch, so8, "random_element", lambda m: g01.scale(m.coeffs[0]))
 
 
 def _t_matrix(monkeypatch):
@@ -376,10 +398,20 @@ FAILURE_PATHS = [
                   "invariants.so7_locus"],
                  "0114eaed2b7c03fb33c14f782c21efbca255a5433f7b84ebcd7081bcb28167fd",
                  id="involution_sign"),
-    pytest.param(_generic_eigenstructure,
+    pytest.param(_repeated_root,
+                 ["invariants.pfaffian_consistency",
+                  "invariants.newton_oracle",
+                  "invariants.g2_locus",
+                  "invariants.so7_locus",
+                  "invariants.generic_eigenstructure",
+                  "invariants.eta4_coefficient_discrepancy",
+                  "invariants.eta2_coefficient_discrepancy"],
+                 "dfd86ff0993c35dbbc56739bf56a8264a91dcccebea554ebbb386be23d725373",
+                 id="repeated_root"),
+    pytest.param(_singular_draws,
                  ["invariants.generic_eigenstructure"],
-                 "1a885c5b4ea56dce7918ea61bfc053c39cac806b50606d23560227ae60e185e6",
-                 id="generic_eigenstructure"),
+                 "7dff688e28ff4022316b66fc2f1b2866d9022749a1ff3b78595fd1c6a6314ba5",
+                 id="singular_draws"),
     pytest.param(_t_matrix,
                  ["invariants.transformation_law",
                   "invariants.transformation_order_three",
